@@ -341,11 +341,9 @@ def run_bench() -> dict:
             lambda: strip_boilerplate(pages_txt, min_pages=3).count())
 
         # the same strip under the SHARDED rebuild regime — the
-        # 10^8-host path mode="auto" now selects: the slim key table
+        # 10^8-host path mode="auto" selects: the slim key table
         # partitioned into actors by host hash, corpus streamed in
-        # place, NO text all-to-all (2.2x faster than the bucketed
-        # hash join it replaced as the scale default; bucketed stays
-        # parity-tested)
+        # place, NO text all-to-all
         queries["strip_boilerplate_sharded"] = best2(
             lambda: strip_boilerplate(
                 pages_txt, min_pages=3, mode="sharded").count())

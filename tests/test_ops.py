@@ -486,10 +486,9 @@ def test_remove_near_duplicates_keep_best(ray_session):
 
 
 def test_subtract_ids_modes_agree(ray_session):
-    """The broadcast (object-store id array) and bucketed (anti-join
-    groupby — the 100-TB path where no process holds the drop set)
-    regimes of subtract_ids return identical row sets, original schema
-    intact."""
+    """The broadcast (object-store id array) and sharded (key actors —
+    the 100-TB path where no process holds the drop set) regimes of
+    subtract_ids return identical row sets, original schema intact."""
     import ray.data
     from web_scraper_ray.ops.dedup import subtract_ids
 
@@ -500,20 +499,19 @@ def test_subtract_ids_modes_agree(ray_session):
     want_ids = sorted(i for i in range(200) if i % 3 != 0)
 
     outs = {}
-    for mode in ("broadcast", "bucketed", "sharded"):
+    for mode in ("broadcast", "sharded"):
         drop = ray.data.from_items(drop_rows)
         out = subtract_ids(ds, drop, id_col="doc_id", drop_col="node",
                            mode=mode, n_buckets=8).to_pandas()
         assert sorted(out.columns) == ["doc_id", "n_chars", "source"]
         outs[mode] = out.sort_values("doc_id").reset_index(drop=True)
         assert list(outs[mode]["doc_id"]) == want_ids
-    for other in ("bucketed", "sharded"):
-        pd.testing.assert_frame_equal(
-            outs["broadcast"][sorted(outs["broadcast"].columns)],
-            outs[other][sorted(outs[other].columns)],
-        )
+    pd.testing.assert_frame_equal(
+        outs["broadcast"][sorted(outs["broadcast"].columns)],
+        outs["sharded"][sorted(outs["sharded"].columns)],
+    )
     # empty drop set: everything survives in every mode
-    for mode in ("broadcast", "bucketed", "sharded"):
+    for mode in ("broadcast", "sharded"):
         empty = ray.data.from_items([{"node": 10_000}]).filter(
             lambda r: False
         )
@@ -522,20 +520,20 @@ def test_subtract_ids_modes_agree(ray_session):
         assert out.count() == 200
 
 
-def test_exact_dedup_bucketed_mode(docs_ds):
+def test_exact_dedup_sharded_mode(docs_ds):
     from web_scraper_ray.ops.dedup import exact_dedup
 
     out = exact_dedup(docs_ds, "text", "doc_id",
-                      subtract_mode="bucketed").to_pandas()
+                      subtract_mode="sharded").to_pandas()
     assert sorted(out["doc_id"]) == [0, 2, 3, 4, 5]
 
 
-def test_remove_near_duplicates_bucketed_mode(docs_ds):
+def test_remove_near_duplicates_sharded_mode(docs_ds):
     from web_scraper_ray.ops.dedup import remove_near_duplicates
 
     kept = sorted(
         remove_near_duplicates(
-            docs_ds, concurrency=1, subtract_mode="bucketed"
+            docs_ds, concurrency=1, subtract_mode="sharded"
         ).to_pandas()["doc_id"]
     )
     assert 0 in kept and 3 in kept and 4 in kept
@@ -778,7 +776,7 @@ def test_paragraph_dedup_planted(ray_session):
             {"doc_id": 4, "text": ""},   # ...this one loses it
         ]
     )
-    for mode in ("broadcast", "bucketed", "sharded"):
+    for mode in ("broadcast", "sharded"):
         out = (
             paragraph_dedup(ds, mode=mode, n_buckets=4)
             .to_pandas()
@@ -789,7 +787,7 @@ def test_paragraph_dedup_planted(ray_session):
 
 
 def test_paragraph_dedup_modes_agree(ray_session):
-    """broadcast and bucketed regimes produce identical documents on a
+    """broadcast and sharded regimes produce identical documents on a
     corpus with heavy cross-document paragraph sharing."""
     import ray.data
 
@@ -807,12 +805,9 @@ def test_paragraph_dedup_modes_agree(ray_session):
     ]
     ds = ray.data.from_items(rows).repartition(8)
     a = paragraph_dedup(ds, mode="broadcast").to_pandas()
-    b = paragraph_dedup(ds, mode="bucketed", n_buckets=8).to_pandas()
     c = paragraph_dedup(ds, mode="sharded", n_buckets=8).to_pandas()
     a = a.sort_values("doc_id").reset_index(drop=True)
-    b = b.sort_values("doc_id").reset_index(drop=True)
     c = c.sort_values("doc_id").reset_index(drop=True)
-    assert a.equals(b)
     assert a.equals(c)
     # first-wins: doc 0 keeps its shared paragraphs, later docs lose them
     assert "shared paragraph" in a.loc[1, "text"]
@@ -1099,9 +1094,10 @@ def test_paragraph_dedup_matches_sequential_model(ray_session):
         ds = ray.data.from_items(
             [{"doc_id": d, "text": t} for d, t in docs]
         ).repartition(3)
-        got = paragraph_dedup(ds, mode="bucketed", n_buckets=4).to_pandas()
-        got = dict(zip(got["doc_id"], got["text"]))
-        assert got == expect, f"trial {trial}"
+        for mode in ("broadcast", "sharded"):
+            got = paragraph_dedup(ds, mode=mode, n_buckets=4).to_pandas()
+            got = dict(zip(got["doc_id"], got["text"]))
+            assert got == expect, f"trial {trial} {mode}"
 
 
 def test_doc_frequency_and_tfidf(ray_session):
@@ -1172,7 +1168,7 @@ def test_dedup_against_prior(ray_session):
             {"doc_id": 14, "text": "brand new document beta"},        # keep
         ]
     )
-    for mode in ("broadcast", "bucketed"):
+    for mode in ("broadcast", "sharded"):
         out = dedup_against(new, prior, mode=mode, n_buckets=5).to_pandas()
         assert sorted(out["doc_id"]) == [11, 13, 14], mode
         assert set(out.columns) == {"doc_id", "text"}, mode
@@ -1209,7 +1205,7 @@ def test_duplicate_span_stats_planted(ray_session):
         3: (0, 0),
         4: (7, 0),
     }
-    for mode in ("broadcast", "bucketed"):
+    for mode in ("broadcast", "sharded"):
         out = duplicate_span_stats(ds, n=4, mode=mode, n_buckets=5).to_pandas()
         got = {int(r.doc_id): (int(r.n_tokens), int(r.n_dup_tokens))
                for r in out.itertuples()}
@@ -1946,22 +1942,23 @@ def test_segment_revenue_regimes_agree(sf_dir, ray_session):
 def test_grouped_topk_planted(ray_session):
     """Ties resolved by tie_col asc; rk is 1-based within group; the
     result is block-layout-independent (partial top-k per batch prunes
-    but never drops a global candidate)."""
+    but never drops a global candidate); string and int group columns
+    both work."""
     import ray.data
 
     from web_scraper_ray.ops.relational import grouped_topk
 
-    rows = []
-    for g in ("a", "b"):
-        for i in range(10):
-            # two score ties at the top of every group
-            rows.append({"grp": g, "score": 100 if i < 2 else 100 - i,
-                         "id": i})
-    expect = {("a", 0, 1), ("a", 1, 2), ("a", 2, 3),
-              ("b", 0, 1), ("b", 1, 2), ("b", 2, 3)}
-    for blocks in (1, 7):
-        ds = ray.data.from_items(rows, override_num_blocks=blocks)
-        got = grouped_topk(ds, "grp", "score", k=3,
-                           tie_col="id").to_pandas()
-        assert {(r.grp, r.id, r.rk)
-                for r in got.itertuples()} == expect, blocks
+    for groups in (("a", "b"), (3, 11)):
+        rows = []
+        for g in groups:
+            for i in range(10):
+                # two score ties at the top of every group
+                rows.append({"grp": g, "score": 100 if i < 2 else 100 - i,
+                             "id": i})
+        expect = {(g, i, i + 1) for g in groups for i in range(3)}
+        for blocks in (1, 7):
+            ds = ray.data.from_items(rows, override_num_blocks=blocks)
+            got = grouped_topk(ds, "grp", "score", k=3,
+                               tie_col="id").to_pandas()
+            assert {(r.grp, r.id, r.rk)
+                    for r in got.itertuples()} == expect, (groups, blocks)

@@ -69,6 +69,15 @@ def test_non_negative_int64():
     assert (h >= 0).all()
 
 
+def test_no_collisions_on_structured_urls():
+    """Strings that differ only in a few digits spread across words
+    (host number and path number) must not collide: a multiply-only
+    word fold never carries a high-byte difference down."""
+    vals = [f"https://host{h:04d}.example/articles/{a:06d}"
+            for h in range(100) for a in range(1000)]
+    assert len(np.unique(hash64_str(vals))) == len(vals)
+
+
 def test_no_collisions_and_spread():
     vals = [f"https://host{i % 97}.example/p/{i}" for i in range(20000)]
     h = hash64_str(vals)

@@ -29,13 +29,15 @@ line TEXT never rides a shuffle):
    back as ``(host, k, n_pages)``; line text for the INVENTORY is
    recovered by a second corpus scan that keeps only qualifying keys
    (a slim join, nothing corpus-shaped moves).
-3. rebuild: ``broadcast`` folds the sorted qualifying-key array into
-   the object store in a Ray task (the subtract_ids regime — the
-   driver never holds it) and every batch drops its lines by
-   ``searchsorted`` membership; ``bucketed`` co-locates pages and
-   qualifying keys by ``hash(host) % n_buckets`` so no process ever
-   holds the full set — right when hosts × boilerplate lines outgrow
-   a node. ``mode="auto"`` switches on the measured set size.
+3. rebuild: the qualifying keys become a
+   :class:`~web_scraper_ray.ops.keyed.KeyTable` keyed by
+   ``hash64_str(host)`` with the line key ``k`` as payload. Every batch
+   looks up its own hosts' line keys and drops its lines by
+   ``searchsorted`` membership; the corpus streams in place. The
+   table is ``broadcast`` (one object-store copy, the driver never
+   holds it) or ``sharded`` across key actors by host hash so no
+   process holds the full set — right when hosts × boilerplate lines
+   outgrow a node. ``mode="auto"`` switches on the measured set size.
 
 Kernel discipline: every per-batch pass is Arrow-native — regex host
 extract, line split/flatten, hashing, membership, and the ordered
@@ -61,10 +63,10 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-import ray
 import ray.data
 
 from ..vhash import hash64_combine, hash64_str
+from .keyed import KeyTable, contains_sorted
 
 _HOST_RE = r"://([^/]+)"
 _HOST_RE_ARROW = r"://(?P<h>[^/]+)"
@@ -102,14 +104,6 @@ def _line_rows(url: pa.Array, text: pa.Array):
     k = hash64_combine(hash64_str(host)[parent], hash64_str(flat))
     nonempty = pc.not_equal(flat, "").to_numpy(zero_copy_only=False)
     return host, parent, flat, k, nonempty
-
-
-def _member(ks: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Membership of each key in the sorted key array ``ks``."""
-    if not len(ks):
-        return np.zeros(len(k), dtype=bool)
-    pos = np.minimum(np.searchsorted(ks, k), len(ks) - 1)
-    return ks[pos] == k
 
 
 def _qualifying_keys(
@@ -167,20 +161,6 @@ def _qualifying_keys(
               .map_groups(count_group, batch_format="pandas"))
 
 
-@ray.remote
-def _key_table_task(*blocks) -> pd.DataFrame:
-    """Fold the qualifying-key table into one object-store frame,
-    k-sorted for searchsorted membership (the subtract_ids regime —
-    the driver never holds it)."""
-    frames = [b.to_pandas() if isinstance(b, pa.Table) else b
-              for b in blocks]
-    if not frames:
-        return pd.DataFrame({"host": [], "k": pd.Series([], "int64"),
-                             "n_pages": pd.Series([], "int64")})
-    out = pd.concat(frames, ignore_index=True)
-    return out.sort_values("k", kind="mergesort").reset_index(drop=True)
-
-
 def host_boilerplate_lines(
     ds: ray.data.Dataset,
     url_col: str = "url",
@@ -194,37 +174,28 @@ def host_boilerplate_lines(
     recovery for the qualifying set) — pass a re-readable source."""
     keys = _qualifying_keys(ds, url_col, text_col, min_pages,
                             n_buckets).materialize()
-    ref = _key_table_task.remote(*keys.to_arrow_refs())
+    table = KeyTable(keys, "k", "n_pages", op="host_boilerplate_lines")
 
     def recover(batch: pa.Table) -> pa.Table:
         if not batch.num_rows:
             return _EMPTY_INVENTORY
-        kt = ray.get(ref)  # zero-copy plasma read
-        ks = kt["k"].to_numpy()
         url = batch[url_col].combine_chunks()
         text = batch[text_col].combine_chunks()
         host, parent, flat, k, nonempty = _line_rows(url, text)
-        hit = _member(ks, k) & nonempty
-        idx = np.flatnonzero(hit)
-        if not len(idx):
-            return _EMPTY_INVENTORY
+        idx = np.flatnonzero(nonempty)
         # one row per distinct qualifying key in this batch
-        kk = k[idx]
-        o = np.argsort(kk, kind="stable")
-        firsts = np.empty(len(o), dtype=bool)
-        firsts[0] = True
-        firsts[1:] = kk[o][1:] != kk[o][:-1]
-        sel = idx[o][firsts]
-        ku = k[sel]
-        pos = np.searchsorted(ks, ku)
+        ku, first = np.unique(k[idx], return_index=True)
+        qi, n_pages = table.lookup(ku)
+        if not len(qi):
+            return _EMPTY_INVENTORY
+        sel = idx[first[qi]]
         return pa.table({
             "host": host.cast(pa.large_string()).take(
                 pa.array(parent[sel], pa.int64())),
             "line": flat.cast(pa.large_string()).take(
                 pa.array(sel, pa.int64())),
-            "n_pages": pa.array(
-                kt["n_pages"].to_numpy()[pos], pa.int64()),
-            "__bkt": pa.array(ku % np.int64(n_buckets), pa.int64())})
+            "n_pages": pa.array(n_pages, pa.int64()),
+            "__bkt": pa.array(ku[qi] % np.int64(n_buckets), pa.int64())})
 
     # many batches re-emit the same qualifying line → one small dedup
     # fold over qualifying rows only (inventory-shaped, not corpus-)
@@ -249,7 +220,7 @@ def _strip_rows(url: pa.Array, text: pa.Array, ks: np.ndarray,
             text_col: pa.array([], pa.large_string()),
             "n_dropped": pa.array([], pa.int64())})
     _host, parent, flat, k, nonempty = _line_rows(url, text)
-    drop = _member(ks, k) & nonempty
+    drop = contains_sorted(ks, k) & nonempty
     keep = ~drop
     counts = np.bincount(parent[keep], minlength=n)
     offsets = np.zeros(n + 1, dtype=np.int64)
@@ -287,11 +258,10 @@ def strip_boilerplate(
     ``host_limit`` (a 10^8-host corpus implies an inventory no single
     process should hold even before the key count crosses the line —
     one constant-state sketch scan of the small keys table, never of
-    the corpus). ``sharded`` partitions the slim key table into actors
-    by host hash and streams the corpus IN PLACE (no text all-to-all;
-    measured 2.2× faster than ``bucketed`` at 200k pages and matching
-    ``broadcast``); ``bucketed`` (the text-shuffle hash join) remains
-    available explicitly and parity-tested."""
+    the corpus). Both regimes stream the corpus IN PLACE (no text
+    all-to-all): ``broadcast`` keeps the slim (host hash, line key)
+    table in the object store, ``sharded`` partitions it into actors by
+    host hash; the two are byte-identical (test_boilerplate)."""
     keys = _qualifying_keys(ds, url_col, text_col, min_pages,
                             n_buckets).materialize()
     if mode == "auto":
@@ -304,146 +274,17 @@ def strip_boilerplate(
             n_hosts = int(est[0]["n_distinct_est"]) if est else 0
             mode = "sharded" if n_hosts > host_limit else "broadcast"
 
-    if mode == "broadcast":
-        ref = _key_table_task.remote(*keys.to_arrow_refs())
-
-        def rb(batch: pa.Table) -> pa.Table:
-            ks = ray.get(ref)["k"].to_numpy()
-            return _strip_rows(batch[url_col].combine_chunks(),
-                               batch[text_col].combine_chunks(),
-                               ks, url_col, text_col)
-
-        return ds.select_columns([url_col, text_col]).map_batches(
-            rb, batch_format="pyarrow")
-
-    if mode == "sharded":
-        return _sharded_strip(ds, keys, url_col, text_col,
-                              n_shards=max(4, n_buckets // 4))
-
-    if mode != "bucketed":
-        raise ValueError(f"unknown strip_boilerplate mode: {mode}")
-
-    def tag_pages(batch: pa.Table) -> pa.Table:
-        host = _hosts_of(batch[url_col].combine_chunks())
-        return pa.table({
-            url_col: batch[url_col].combine_chunks().cast(
-                pa.large_string()),
-            text_col: pc.fill_null(batch[text_col].combine_chunks(),
-                                   "").cast(pa.large_string()),
-            "k": pa.array(np.zeros(batch.num_rows, np.int64),
-                          pa.int64()),
-            "__side": pa.array(["c"] * batch.num_rows,
-                               pa.large_string()),
-            "__bkt": pa.array(hash64_str(host) % np.int64(n_buckets),
-                              pa.int64())})
-
-    def tag_keys(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        return pa.table({
-            url_col: pa.array([""] * n, pa.large_string()),
-            text_col: pa.array([""] * n, pa.large_string()),
-            "k": batch["k"].combine_chunks().cast(pa.int64()),
-            "__side": pa.array(["b"] * n, pa.large_string()),
-            "__bkt": pa.array(
-                hash64_str(batch["host"].combine_chunks())
-                % np.int64(n_buckets), pa.int64())})
-
-    both = ds.select_columns([url_col, text_col]).map_batches(
-        tag_pages, batch_format="pyarrow"
-    ).union(keys.map_batches(tag_keys, batch_format="pyarrow"))
-
-    def rebuild_group(g: pa.Table) -> pa.Table:
-        side = g["__side"]
-        pages = g.filter(pc.equal(side, "c"))
-        ks = np.sort(
-            g.filter(pc.equal(side, "b"))["k"].to_numpy(
-                zero_copy_only=False).astype(np.int64))
-        return _strip_rows(pages[url_col].combine_chunks(),
-                           pages[text_col].combine_chunks(),
-                           ks, url_col, text_col)
-
-    return both.groupby("__bkt").map_groups(
-        rebuild_group, batch_format="pyarrow")
-
-
-@ray.remote(num_cpus=0)
-class _KeyShard:
-    """One partition of the qualifying-key table, hashed by host — the
-    sharded rebuild regime's state (the seen-set pattern): no process
-    ever holds the full key inventory, and the CORPUS TEXT never moves.
-    ``add`` may receive the same host from several feed batches (the
-    keys table is partitioned arbitrarily) and task retries may repeat
-    an add; duplicate keys are harmless — membership via searchsorted
-    is duplicate-tolerant."""
-
-    def __init__(self):
-        self._by_host: dict[str, list] = {}
-
-    def add(self, hosts: list, key_arrays: list) -> int:
-        for h, ks in zip(hosts, key_arrays):
-            self._by_host.setdefault(h, []).append(ks)
-        return len(hosts)
-
-    def get(self, hosts: list) -> np.ndarray:
-        chunks = [a for h in hosts for a in self._by_host.get(h, ())]
-        if not chunks:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(chunks)
-
-
-def _sharded_strip(ds: ray.data.Dataset, keys: ray.data.Dataset,
-                   url_col: str, text_col: str, n_shards: int
-                   ) -> ray.data.Dataset:
-    """The sharded rebuild regime: partition the slim (host, k) table
-    into ``n_shards`` actors by ``hash64(host)``, then stream the
-    corpus IN PLACE — each rebuild batch fetches only its own hosts'
-    key arrays (one batched RPC per shard touched) and strips locally.
-    vs ``bucketed``: the all-to-all of page text disappears; what moves
-    per batch is #distinct-hosts × a few int64 keys. Byte-identical to
-    the broadcast regime (test_boilerplate regime parity)."""
-    from ..vhash import hash64_str
-
-    shards = [_KeyShard.remote() for _ in range(n_shards)]
-
-    def feed(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        if n:
-            host = np.asarray(batch["host"].to_pylist(), dtype=object)
-            k = batch["k"].to_numpy(zero_copy_only=False).astype(np.int64)
-            sid = hash64_str(host) % n_shards
-            futs = []
-            for s in np.unique(sid):
-                m = sid == s
-                hs = host[m]
-                ks = k[m]
-                # group this shard's rows by host (sorted run-split)
-                o = np.argsort(hs, kind="stable")
-                hs, ks = hs[o], ks[o]
-                cut = np.flatnonzero(
-                    np.concatenate(([True], hs[1:] != hs[:-1])))
-                futs.append(shards[int(s)].add.remote(
-                    [str(h) for h in hs[cut]],
-                    np.split(ks, cut[1:])))
-            ray.get(futs)
-        return pa.table({"n": pa.array([n], pa.int64())})
-
-    # barrier: every key registered before any rebuild batch reads
-    keys.map_batches(feed, batch_format="pyarrow").count()
+    hosts = keys.map_batches(
+        lambda b: pa.table({"hk": hash64_str(b["host"]), "k": b["k"]}),
+        batch_format="pyarrow")
+    table = KeyTable(hosts, "hk", "k", placement=mode,
+                     n_shards=max(4, n_buckets // 4), op="strip_boilerplate")
 
     def rb(batch: pa.Table) -> pa.Table:
         url = batch[url_col].combine_chunks()
-        host = _hosts_of(url)
-        uh = np.unique(np.asarray(host.to_pylist(), dtype=object))
-        ks = np.empty(0, dtype=np.int64)
-        if len(uh):
-            sid = hash64_str(uh) % n_shards
-            futs = [shards[int(s)].get.remote(
-                        [str(h) for h in uh[sid == s]])
-                    for s in np.unique(sid)]
-            got = ray.get(futs)
-            ks = np.sort(np.concatenate(got)) if got else ks
+        _, ks = table.lookup(np.unique(hash64_str(_hosts_of(url))))
         return _strip_rows(url, batch[text_col].combine_chunks(),
-                           ks, url_col, text_col)
+                           np.sort(ks), url_col, text_col)
 
     return ds.select_columns([url_col, text_col]).map_batches(
         rb, batch_format="pyarrow")

@@ -24,52 +24,13 @@ import pandas as pd
 
 import ray.data
 
+from .keyed import KeyTable
+
 _MERSENNE = (1 << 61) - 1
 
 
 # ---------------------------------------------------------------------------
 # id-set anti-join (the shared drop-set machinery of the dedup family)
-
-@ray.remote(num_cpus=0)
-def _ids_array_task(*tables) -> np.ndarray:
-    """Concatenate id blocks into ONE sorted int64 array in the object
-    store. Runs as a Ray task so the driver never holds the set; every
-    filter task ``ray.get``\\ s it zero-copy (numpy over plasma)."""
-    parts = [t.column(0).to_numpy(zero_copy_only=False)
-             for t in tables if t.num_rows]
-    if not parts:
-        return np.empty(0, dtype=np.int64)
-    return np.unique(np.concatenate(parts).astype(np.int64))
-
-
-@ray.remote(num_cpus=0)
-class _IdShard:
-    """One partition of a drop-id set, hashed by ``id % n_shards`` —
-    the sharded anti-join regime's state: no process holds the full
-    set, and membership queries move slim int64s only. Adds complete
-    behind a barrier before the first ``contains``; the sorted array
-    is built lazily and rebuilt if a retried add lands late."""
-
-    def __init__(self):
-        self._chunks: list = []
-        self._sorted = None
-
-    def add(self, ids) -> int:
-        self._chunks.append(np.asarray(ids, dtype=np.int64))
-        self._sorted = None
-        return len(ids)
-
-    def contains(self, ids) -> np.ndarray:
-        if self._sorted is None:
-            self._sorted = (np.unique(np.concatenate(self._chunks))
-                            if self._chunks else np.empty(0, np.int64))
-        arr = self._sorted
-        ids = np.asarray(ids, dtype=np.int64)
-        if not len(arr):
-            return np.zeros(len(ids), dtype=bool)
-        pos = np.minimum(np.searchsorted(arr, ids), len(arr) - 1)
-        return arr[pos] == ids
-
 
 def subtract_ids(
     ds: ray.data.Dataset,
@@ -82,139 +43,32 @@ def subtract_ids(
 ) -> ray.data.Dataset:
     """Anti-join: rows of ``ds`` whose ``id_col`` does NOT appear in
     ``drop[drop_col]`` — without the drop set ever landing on the
-    driver. Two regimes (mirroring the frontier's broadcast/bucketed
-    fetch-join split, ``crawl/frontier.py:351``):
+    driver, and without ``ds`` ever shuffling. The drop ids form a
+    :class:`~web_scraper_ray.ops.keyed.KeyTable` key set and each
+    filter batch drops the rows its ``contains`` query hits:
 
-    * ``broadcast`` (drop set ≤ ``broadcast_limit``): a Ray task folds
-      the drop blocks into one sorted int64 array in the OBJECT STORE;
-      each filter task reads it zero-copy and drops matches with a
-      vectorized ``searchsorted`` — ``ds`` itself never shuffles.
+    * ``broadcast`` (drop set ≤ ``broadcast_limit``): one sorted int64
+      array in the object store, read zero-copy by every filter task.
     * ``sharded`` (web-scale drop sets, O(corpus) ids — 30-50%
       near-dup rates; what ``auto`` picks above ``broadcast_limit``):
-      no single process ever holds the set AND the corpus never
-      shuffles — the drop ids partition into membership actors by
-      ``id % n_shards`` and each filter batch asks the shards which of
-      its own ids are dropped (slim int64s both ways).
-    * ``bucketed``: the prior all-to-all form (corpus rows and drop
-      ids co-locate by ``id % n_buckets``) — kept for parity testing;
-      it ships every corpus column through the shuffle.
+      ``max(4, n_buckets // 4)`` membership actors by ``id % n_shards``;
+      each filter batch asks them about its own ids only (slim int64s
+      both ways).
 
     ``mode='auto'`` picks by the drop set's row count (parquet/block
-    metadata — the drop Dataset is materialized either way, since both
-    sides consume it)."""
-
+    metadata — the drop Dataset is materialized either way)."""
     drop = drop.select_columns([drop_col]).materialize()
     if mode == "auto":
         mode = "broadcast" if drop.count() <= broadcast_limit else "sharded"
+    table = KeyTable(drop, drop_col, placement=mode,
+                     n_shards=max(4, n_buckets // 4), op="subtract_ids")
 
-    if mode == "sharded":
-        n_shards = max(4, n_buckets // 4)
-        shards = [_IdShard.remote() for _ in range(n_shards)]
+    def keep(df: pd.DataFrame) -> pd.DataFrame:
+        if not len(df):
+            return df
+        return df.loc[~table.contains(df[id_col].to_numpy(dtype=np.int64))]
 
-        def feed(df: pd.DataFrame) -> pd.DataFrame:
-            n = len(df)
-            if n:
-                ids = df[drop_col].to_numpy(dtype=np.int64)
-                sid = ids % n_shards
-                ray.get([shards[int(s)].add.remote(ids[sid == s])
-                         for s in np.unique(sid)])
-            return pd.DataFrame({"n": pd.Series([n], dtype="int64")})
-
-        # barrier: every drop id registered before any filter reads
-        drop.map_batches(feed, batch_format="pandas").count()
-
-        def keep_sharded(df: pd.DataFrame) -> pd.DataFrame:
-            if not len(df):
-                return df
-            ids = df[id_col].to_numpy(dtype=np.int64)
-            sid = ids % n_shards
-            hit = np.zeros(len(ids), dtype=bool)
-            present = np.unique(sid)
-            futs = [shards[int(s)].contains.remote(ids[sid == s])
-                    for s in present]
-            for s, m in zip(present, ray.get(futs)):
-                hit[sid == s] = m
-            return df.loc[~hit]
-
-        return ds.map_batches(keep_sharded, batch_format="pandas")
-
-    if mode == "broadcast":
-        ref = _ids_array_task.remote(*drop.to_arrow_refs())
-
-        def keep(df: pd.DataFrame) -> pd.DataFrame:
-            arr = ray.get(ref)
-            if len(arr) == 0:
-                return df
-            ids = df[id_col].to_numpy(dtype=np.int64)
-            pos = np.searchsorted(arr, ids)
-            pos_c = np.minimum(pos, len(arr) - 1)
-            hit = arr[pos_c] == ids
-            return df.loc[~hit]
-
-        return ds.map_batches(keep, batch_format="pandas")
-
-    if mode != "bucketed":
-        raise ValueError(f"unknown subtract_ids mode: {mode}")
-
-    import pyarrow as pa
-
-    corpus_schema = ds.schema().base_schema
-    if not isinstance(corpus_schema, pa.Schema):
-        # pandas-block upstream (a map_batches(batch_format="pandas")
-        # stage): route blocks through Arrow once so the drop-side
-        # null-column templating below sees typed Arrow fields
-        ds = ds.map_batches(lambda t: t, batch_format="pyarrow")
-        corpus_schema = ds.schema().base_schema
-
-    def tag_corpus(batch: "pa.Table") -> "pa.Table":
-        bkt = pa.array(
-            batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-            % n_buckets,
-            pa.int64(),
-        )
-        return batch.append_column(
-            "__side", pa.array(["c"] * batch.num_rows, pa.string())
-        ).append_column("__bkt", bkt)
-
-    def tag_drop(batch: "pa.Table") -> "pa.Table":
-        ids = batch[drop_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        cols = {}
-        for field in corpus_schema:
-            if field.name == id_col:
-                cols[field.name] = pa.array(ids, field.type)
-            else:
-                cols[field.name] = pa.nulls(len(ids), field.type)
-        out = pa.table(cols)
-        return out.append_column(
-            "__side", pa.array(["d"] * len(ids), pa.string())
-        ).append_column("__bkt", pa.array(ids % n_buckets, pa.int64()))
-
-    both = ds.map_batches(tag_corpus, batch_format="pyarrow").union(
-        drop.map_batches(tag_drop, batch_format="pyarrow")
-    )
-
-    # drop-side nulls promote int/bool columns to float/object when the
-    # shuffle's pandas merge runs — cast survivors back to the corpus
-    # schema so the output dtypes match the broadcast regime exactly
-    import pyarrow as pa
-
-    restore = {}
-    for field in corpus_schema:
-        if pa.types.is_integer(field.type):
-            restore[field.name] = ("int64" if not pa.types.is_unsigned_integer(
-                field.type) else "uint64")
-        elif pa.types.is_boolean(field.type):
-            restore[field.name] = "bool"
-
-    def filter_group(g: pd.DataFrame) -> pd.DataFrame:
-        d = g.loc[g["__side"] == "d", id_col].to_numpy(dtype=np.int64)
-        c = g.loc[g["__side"] == "c"]
-        out = c.loc[~c[id_col].isin(d)].drop(columns=["__side", "__bkt"])
-        fix = {k: v for k, v in restore.items()
-               if k in out.columns and str(out[k].dtype) != v}
-        return out.astype(fix) if fix else out
-
-    return both.groupby("__bkt").map_groups(filter_group, batch_format="pandas")
+    return ds.map_batches(keep, batch_format="pandas")
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +94,8 @@ def exact_dedup(ds: ray.data.Dataset, text_col: str = "text",
     (id, content_md5, bucket) — document text never rides it. Losers
     (every id that is not its content group's min) are then removed by
     :func:`subtract_ids`, which broadcasts small loser sets through
-    the object store and falls back to a bucketed anti-join when the
-    loser set is corpus-sized. ``ds`` is consumed twice (hash pass +
+    the object store and shards them across key actors when the loser
+    set is corpus-sized (``subtract_mode``). ``ds`` is consumed twice (hash pass +
     filter pass) — pass a re-readable source (e.g. a parquet read),
     not an expensive unmaterialized pipeline."""
     slim = ds.select_columns([id_col, text_col]).map_batches(
@@ -343,8 +197,8 @@ def dedup_against(
     its keys per batch (a combiner — duplicates inside the prior
     corpus add nothing to the anti-join). The filter itself is
     :func:`subtract_ids`' two regimes: a zero-shuffle object-store
-    broadcast while the prior key set fits (``broadcast_limit``), a
-    key-bucketed anti-join when the prior corpus is web-scale — in
+    broadcast while the prior key set fits (``broadcast_limit``),
+    hash-sharded key actors when the prior corpus is web-scale — in
     both, the only data that ever moves is 8-byte keys, never text.
 
     Exactness: first-occurrence-wins ACROSS corpora (prior always
@@ -357,10 +211,8 @@ def dedup_against(
     prior_text_col = prior_text_col or text_col
     key = "__ckey"
 
-    # Arrow end-to-end: append/drop the key column on zero-copy Arrow
-    # blocks (no pandas round-trip of the text payload), which also
-    # keeps the Dataset schema an Arrow schema for subtract_ids'
-    # bucketed regime
+    # append/drop the key column on zero-copy Arrow blocks (no pandas
+    # round-trip of the text payload)
     def prior_key_batch(batch: "pa.Table") -> "pa.Table":
         k = np.unique(_content_keys(batch[prior_text_col].to_pylist()))
         return pa.table({key: pa.array(k, pa.int64())})
@@ -415,23 +267,6 @@ def _paragraph_table(df: pd.DataFrame, text_col: str, id_col: str,
     return pd.DataFrame(out)
 
 
-@ray.remote(num_cpus=0)
-def _loser_pairs_task(*tables) -> pd.DataFrame:
-    """Fold loser (id, p) blocks into one DataFrame in the object
-    store (driver never holds it; filter tasks read it zero-copy)."""
-    import pyarrow as pa
-
-    parts = [t for t in tables if t.num_rows]
-    if not parts:
-        return pd.DataFrame({"_id": np.empty(0, np.int64),
-                             "p": np.empty(0, np.int64)})
-    t = pa.concat_tables(parts)
-    return pd.DataFrame({
-        "_id": t.column(0).to_numpy(zero_copy_only=False).astype(np.int64),
-        "p": t.column(1).to_numpy(zero_copy_only=False).astype(np.int64),
-    })
-
-
 def paragraph_dedup(
     ds: ray.data.Dataset,
     text_col: str = "text",
@@ -455,19 +290,17 @@ def paragraph_dedup(
     2. ``groupby(md5-bucket)`` elects the (id, p)-min occurrence per
        distinct paragraph and emits the losers — the all-to-all moves
        only ids + positions + 32-byte hex digests;
-    3. rebuild: re-split each document locally and drop its loser
-       positions. ``broadcast`` puts the loser table in the object
-       store once (small loser sets); ``bucketed`` co-locates docs
-       and losers by ``id % n_buckets`` so no process ever holds the
-       full loser set — at web-scale repetition rates the loser table
-       is O(total paragraphs), i.e. corpus-shaped. The bucketed
-       rebuild is the one pass where text rides a shuffle; the
-       decision pass never ships it. ``sharded`` (what ``auto`` picks
-       above ``broadcast_limit``) removes that last text all-to-all:
-       the loser table is partitioned into actors by doc id and the
-       corpus streams in place, each rebuild batch fetching only its
-       own docs' loser positions (mirror of the boilerplate sharded
-       regime). All three rebuilds are bit-identical (test_ops).
+    3. rebuild: the loser table becomes a
+       :class:`~web_scraper_ray.ops.keyed.KeyTable` (key = doc id,
+       payload = ``p``); the corpus streams in place, each batch looks
+       up its own docs' loser positions, re-splits them locally and
+       drops those positions. ``broadcast`` keeps the table in the
+       object store (small loser sets); ``sharded`` (what ``auto``
+       picks above ``broadcast_limit``) partitions it into actors by
+       doc id — at web-scale repetition rates the loser table is
+       O(total paragraphs), i.e. corpus-shaped, and no process holds
+       it. Text never rides a shuffle in either; both rebuilds are
+       bit-identical (test_ops).
 
     ``ds`` is consumed twice (hash pass + rebuild pass) — pass a
     re-readable source. Oracle twin: ``para_dedup`` in
@@ -513,132 +346,13 @@ def paragraph_dedup(
         out[text_col] = out[id_col].map(agg).fillna("")
         return out
 
-    if mode == "broadcast":
-        ref = _loser_pairs_task.remote(*losers.to_arrow_refs())
-
-        def rb(df: pd.DataFrame) -> pd.DataFrame:
-            ld = ray.get(ref)
-            sel = ld.loc[np.isin(ld["_id"].to_numpy(),
-                                 df[id_col].to_numpy())]
-            return rebuild(df, sel)
-
-        return ds.select_columns([id_col, text_col]).map_batches(
-            rb, batch_format="pandas"
-        )
-
-    if mode == "sharded":
-        return _sharded_para_rebuild(ds, losers, rebuild, id_col,
-                                     text_col, n_shards=max(4, n_buckets // 4))
-
-    if mode != "bucketed":
-        raise ValueError(f"unknown paragraph_dedup mode: {mode}")
-
-    def tag_corpus(df: pd.DataFrame) -> pd.DataFrame:
-        out = df[[id_col, text_col]].copy()
-        out["p"] = np.int64(0)
-        out["__side"] = "c"
-        out["__bkt"] = out[id_col].to_numpy(dtype=np.int64) % n_buckets
-        return out
-
-    def tag_losers(df: pd.DataFrame) -> pd.DataFrame:
-        ids = df[id_col].to_numpy(dtype=np.int64)
-        return pd.DataFrame({
-            id_col: ids, text_col: "", "p": df["p"].to_numpy(np.int64),
-            "__side": "l", "__bkt": ids % n_buckets,
-        })
-
-    both = ds.select_columns([id_col, text_col]).map_batches(
-        tag_corpus, batch_format="pandas"
-    ).union(losers.map_batches(tag_losers, batch_format="pandas"))
-
-    def rebuild_group(g: pd.DataFrame) -> pd.DataFrame:
-        c = g.loc[g["__side"] == "c", [id_col, text_col]]
-        ld = g.loc[g["__side"] == "l", [id_col, "p"]].rename(
-            columns={id_col: "_id"})
-        return rebuild(c, ld)
-
-    return both.groupby("__bkt").map_groups(
-        rebuild_group, batch_format="pandas"
-    )
-
-
-@ray.remote(num_cpus=0)
-class _LoserShard:
-    """One partition of the paragraph-loser table, hashed by doc id —
-    the sharded rebuild regime's state: no process holds the full loser
-    set (corpus-shaped at web-scale repetition rates) and the CORPUS
-    TEXT never moves. Duplicate adds (feed retries, ids spanning feed
-    batches) are harmless: a loser row matched twice still just drops
-    the same paragraph."""
-
-    def __init__(self):
-        self._by_id: dict[int, list] = {}
-
-    def add(self, ids: list, p_arrays: list) -> int:
-        for i, ps in zip(ids, p_arrays):
-            self._by_id.setdefault(i, []).append(ps)
-        return len(ids)
-
-    def get(self, ids: list):
-        out_i, out_p = [], []
-        for i in ids:
-            for ps in self._by_id.get(i, ()):
-                out_i.append(np.full(len(ps), i, dtype=np.int64))
-                out_p.append(ps)
-        if not out_i:
-            return np.empty(0, np.int64), np.empty(0, np.int64)
-        return np.concatenate(out_i), np.concatenate(out_p)
-
-
-def _sharded_para_rebuild(ds, losers, rebuild, id_col: str,
-                          text_col: str, n_shards: int):
-    """The sharded paragraph rebuild (mirror of the boilerplate
-    ``mode="sharded"``): partition the slim (id, p) loser table into
-    actors by ``id % n_shards``, stream the corpus in place, and have
-    each rebuild batch fetch only its own docs' loser positions — the
-    one text all-to-all of the bucketed regime disappears.
-    Byte-identical to broadcast/bucketed (test_ops regime parity)."""
-    shards = [_LoserShard.remote() for _ in range(n_shards)]
-
-    def feed(df: pd.DataFrame) -> pd.DataFrame:
-        n = len(df)
-        if n:
-            ids = df[id_col].to_numpy(dtype=np.int64)
-            ps = df["p"].to_numpy(dtype=np.int64)
-            o = np.argsort(ids, kind="stable")
-            ids, ps = ids[o], ps[o]
-            cut = np.flatnonzero(
-                np.concatenate(([True], ids[1:] != ids[:-1])))
-            uids = ids[cut]
-            groups = np.split(ps, cut[1:])
-            sid = uids % n_shards
-            futs = []
-            for s in np.unique(sid):
-                m = sid == s
-                futs.append(shards[int(s)].add.remote(
-                    [int(i) for i in uids[m]],
-                    [g for g, keep in zip(groups, m) if keep]))
-            ray.get(futs)
-        return pd.DataFrame({"n": pd.Series([n], dtype="int64")})
-
-    # barrier: every loser registered before any rebuild batch reads
-    losers.map_batches(feed, batch_format="pandas").count()
+    table = KeyTable(losers, id_col, "p", placement=mode,
+                     n_shards=max(4, n_buckets // 4), op="paragraph_dedup")
 
     def rb(df: pd.DataFrame) -> pd.DataFrame:
         uids = np.unique(df[id_col].to_numpy(dtype=np.int64))
-        li = np.empty(0, np.int64)
-        lp = np.empty(0, np.int64)
-        if len(uids):
-            sid = uids % n_shards
-            futs = [shards[int(s)].get.remote(
-                        [int(i) for i in uids[sid == s]])
-                    for s in np.unique(sid)]
-            got = ray.get(futs)
-            if got:
-                li = np.concatenate([g[0] for g in got])
-                lp = np.concatenate([g[1] for g in got])
-        loser_df = pd.DataFrame({"_id": li, "p": lp})
-        return rebuild(df, loser_df)
+        qi, p = table.lookup(uids)
+        return rebuild(df, pd.DataFrame({"_id": uids[qi], "p": p}))
 
     return ds.select_columns([id_col, text_col]).map_batches(
         rb, batch_format="pandas")
@@ -1302,7 +1016,7 @@ def remove_near_duplicates(
     cluster's representative plus all unclustered docs. The drop set
     (cluster members minus reps) stays a Dataset end to end and is
     removed via :func:`subtract_ids`: object-store broadcast while it
-    is small, bucketed anti-join once it is corpus-sized (web-scale
+    is small, sharded key actors once it is corpus-sized (web-scale
     near-dup rates are 30-50%, so at 100 TB the drop set is O(corpus)
     ids — no process may hold it).
 

@@ -98,7 +98,9 @@ def grouped_topk(
         out = df.groupby(group_col, sort=False).head(k).copy()
         from ..vhash import hash64_str
 
-        out["__bkt"] = hash64_str(out[group_col]) % n_buckets
+        # bucketing only: any stable hash of the group value will do,
+        # so int/other group columns hash their string form
+        out["__bkt"] = hash64_str(out[group_col].astype(str)) % n_buckets
         return out
 
     def finish(g: pd.DataFrame) -> pd.DataFrame:
@@ -118,7 +120,7 @@ def grouped_topk(
 def _dim_lookup_task(*tables):
     """Fold (int key, value) dimension blocks into custkey-sorted numpy
     arrays in the OBJECT STORE — a Ray task, so the driver never holds
-    the dimension (the ``dedup._ids_array_task`` / ``graph.
+    the dimension (the ``keyed.KeyTable`` broadcast / ``graph.
     _fold_node_table`` pattern); probe tasks ``ray.get`` it zero-copy
     and binary-search."""
     live = [t for t in tables if t.num_rows]

@@ -15,16 +15,14 @@ Ray-Data shape (two passes over a re-readable ``ds``, mirroring
      ``groupby(h)`` — see ``_dup_hash_set``); grams held by ≥ 2 docs
      form the dup-hash set. Only 8-byte hashes and counts ride the
      shuffle — never gram text.
-  2. APPLY — two regimes, the package's standard split:
-       * ``broadcast``: dup hashes folded to ONE sorted int64 array in
-         the object store (``_ids_array_task``); the apply pass is a
-         pure scan — a document's windows are all batch-local, so
-         membership (vectorized ``searchsorted``) AND interval-union
-         coverage are computed per batch with no further shuffle.
-       * ``bucketed`` (web-scale dup sets): window rows and dup hashes
-         co-locate by ``h % B``; matched (doc, p) hit rows then fold by
-         ``groupby(doc)`` together with the per-doc token counts — one
-         int-rows-only shuffle, no process ever holds the dup set.
+  2. APPLY — a pure scan: the dup hashes form a
+     :class:`~web_scraper_ray.ops.keyed.KeyTable` key set, and a
+     document's windows are all batch-local, so membership
+     (``contains``) AND interval-union coverage are computed per batch
+     with no further shuffle. ``broadcast`` keeps the set as one sorted
+     int64 array in the object store; ``sharded`` (web-scale dup sets,
+     what ``auto`` picks above ``broadcast_limit``) spreads it over key
+     actors by ``h % n_shards`` so no process ever holds it.
 
 Determinism / oracle parity: tokens are ASCII-whitespace runs, grams
 single-space joins, hashes md5-upper-half (so equality matches string
@@ -41,8 +39,9 @@ import re
 import numpy as np
 import pandas as pd
 
-import ray
 import ray.data
+
+from .keyed import KeyTable
 
 _TOKEN_RE = re.compile(r"[^ \t\n\r\f\v]+")
 
@@ -154,114 +153,28 @@ def duplicate_span_stats(
     of token positions covered by at least one cross-document duplicate
     ``n``-window. ``ds`` is consumed twice (decision + apply) — pass a
     re-readable source."""
-    from web_scraper_ray.ops.dedup import _ids_array_task
-
     dup = _dup_hash_set(ds, n, id_col, text_col).materialize()
     if mode == "auto":
-        mode = "broadcast" if dup.count() <= broadcast_limit else "bucketed"
-    slim = ds.select_columns([id_col, text_col])
+        mode = "broadcast" if dup.count() <= broadcast_limit else "sharded"
+    table = KeyTable(dup, "h", placement=mode,
+                     n_shards=max(4, n_buckets // 4),
+                     op="duplicate_span_stats")
 
-    if mode == "broadcast":
-        ref = _ids_array_task.remote(*dup.to_arrow_refs())
-
-        def stats(df: pd.DataFrame) -> pd.DataFrame:
-            arr = ray.get(ref)
-            d, h, p, lens = _window_table(df[text_col], n)
-            nd = np.zeros(len(df), dtype=np.int64)
-            if len(h) and len(arr):
-                idx = np.minimum(np.searchsorted(arr, h), len(arr) - 1)
-                hit = arr[idx] == h
-                dh, ph = d[hit], p[hit]
-                if len(dh):
-                    # explode order is already doc-major, pos-ascending
-                    last = np.ones(len(dh), dtype=bool)
-                    last[:-1] = dh[:-1] != dh[1:]
-                    contrib = _coverage(ph, last, n)
-                    np.add.at(nd, dh, contrib)
-            return pd.DataFrame({id_col: df[id_col].to_numpy(),
-                                 "n_tokens": lens, "n_dup_tokens": nd})
-
-        return slim.map_batches(stats, batch_format="pandas")
-
-    if mode != "bucketed":
-        raise ValueError(f"unknown duplicate_span_stats mode: {mode}")
-
-    # bucketed: window rows ⋈ dup-hashes co-locate by h % B (base rows
-    # ride their own id % B buckets and pass through); the matched hit
-    # rows + base rows then fold per doc under a SECOND coarse id-keyed
-    # groupby — both shuffles move only (int64 × 4) rows
-    def win_rows(df: pd.DataFrame) -> pd.DataFrame:
+    def stats(df: pd.DataFrame) -> pd.DataFrame:
         d, h, p, lens = _window_table(df[text_col], n)
-        ids = df[id_col].to_numpy()
-        base = pd.DataFrame({
-            "__bkt": np.mod(ids, n_buckets).astype(np.int64),
-            "h": np.zeros(len(ids), dtype=np.int64),
-            "__side": np.full(len(ids), "b"),
-            id_col: ids,
-            "p": np.zeros(len(ids), dtype=np.int64),
-            "nt": lens,
-        })
-        if not len(h):
-            return base
-        win = pd.DataFrame({
-            "__bkt": np.mod(h, n_buckets).astype(np.int64),
-            "h": h,
-            "__side": np.full(len(h), "w"),
-            id_col: ids[d],
-            "p": p.astype(np.int64),
-            "nt": np.zeros(len(h), dtype=np.int64),
-        })
-        return pd.concat([base, win], ignore_index=True)
-
-    def dup_rows(df: pd.DataFrame) -> pd.DataFrame:
-        h = df["h"].to_numpy(dtype=np.int64)
-        return pd.DataFrame({
-            "__bkt": np.mod(h, n_buckets).astype(np.int64),
-            "h": h,
-            "__side": np.full(len(h), "d"),
-            id_col: np.zeros(len(h), dtype=np.int64),
-            "p": np.zeros(len(h), dtype=np.int64),
-            "nt": np.zeros(len(h), dtype=np.int64),
-        })
-
-    both = slim.map_batches(win_rows, batch_format="pandas").union(
-        dup.map_batches(dup_rows, batch_format="pandas"))
-
-    def match(g: pd.DataFrame) -> pd.DataFrame:
-        base = g.loc[g["__side"] == "b", [id_col, "p", "nt"]]
-        w = g.loc[g["__side"] == "w"]
-        hits = w.loc[w["h"].isin(
-            g.loc[g["__side"] == "d", "h"]), [id_col, "p", "nt"]]
-        out = pd.concat([base, hits], ignore_index=True)
-        out["__dbkt"] = np.mod(out[id_col].to_numpy(), n_buckets).astype(
-            np.int64)
-        return out
-
-    folded = both.groupby("__bkt").map_groups(match, batch_format="pandas")
-
-    def fold_docs(g: pd.DataFrame) -> pd.DataFrame:
-        # one partition holds MANY complete docs — vectorized
-        # run-detection over the (id, p)-sorted frame, never one UDF
-        # call per doc (the dedup family's cands_in_partition rule)
-        g = g.sort_values([id_col, "p"], kind="mergesort")
-        ids = g[id_col].to_numpy()
-        p = g["p"].to_numpy(dtype=np.int64)
-        nt = g["nt"].to_numpy(dtype=np.int64)
-        base_mask = p == 0  # exactly one base row per doc
-        out_ids = ids[base_mask]
-        out_nt = nt[base_mask]
-        nd = np.zeros(len(out_ids), dtype=np.int64)
-        dh, ph = ids[~base_mask], p[~base_mask]
+        nd = np.zeros(len(df), dtype=np.int64)
+        hit = table.contains(h)
+        dh, ph = d[hit], p[hit]
         if len(dh):
+            # explode order is already doc-major, pos-ascending
             last = np.ones(len(dh), dtype=bool)
             last[:-1] = dh[:-1] != dh[1:]
-            contrib = _coverage(ph, last, n)
-            np.add.at(nd, np.searchsorted(out_ids, dh), contrib)
-        return pd.DataFrame({id_col: out_ids, "n_tokens": out_nt,
-                             "n_dup_tokens": nd})
+            np.add.at(nd, dh, _coverage(ph, last, n))
+        return pd.DataFrame({id_col: df[id_col].to_numpy(),
+                             "n_tokens": lens, "n_dup_tokens": nd})
 
-    return folded.groupby("__dbkt").map_groups(fold_docs,
-                                               batch_format="pandas")
+    return ds.select_columns([id_col, text_col]).map_batches(
+        stats, batch_format="pandas")
 
 
 def duplicate_span_filter(
@@ -278,7 +191,7 @@ def duplicate_span_filter(
     cross-multiplied predicate — no float ratio). Returns surviving
     rows of ``ds`` with their original schema; the drop set is removed
     via :func:`web_scraper_ray.ops.dedup.subtract_ids` (broadcast /
-    bucketed regimes)."""
+    sharded regimes, picked by its ``auto``)."""
     from web_scraper_ray.ops.dedup import subtract_ids
 
     stats = duplicate_span_stats(ds, n=n, id_col=id_col, text_col=text_col,

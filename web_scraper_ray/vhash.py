@@ -13,10 +13,11 @@ This module replaces it with our own arithmetic, vectorized end to end:
 * UTF-8 encoding happens once in Arrow C code (``pa.array`` →
   ``large_string``; the flat data buffer + offsets come back zero-copy
   as numpy views);
-* the hash is an FNV-1a-style fold over 8-byte words with the string
-  length mixed in up front (so ``"a"`` and ``"a\\x00"`` cannot collide
-  through zero padding), finished with the murmur3 ``fmix64``
-  avalanche so low bits are usable as bucket ids;
+* the hash is a fold over 8-byte words with the string length mixed
+  in up front (so ``"a"`` and ``"a\\x00"`` cannot collide through zero
+  padding); each word is xored in, multiplied by the murmur3 constant
+  and xor-shifted down (``x ^ (x >> 33)``), finished with the murmur3
+  ``fmix64`` avalanche so low bits are usable as bucket ids;
 * rows are processed sorted by length, so word-column passes touch a
   shrinking prefix and total work stays O(total bytes) even when one
   row is pathologically long.
@@ -25,9 +26,15 @@ Stability contract (why not ``pd.util.hash_array`` / ``polars.hash``):
 every operation below is plain uint64 wraparound arithmetic on
 explicitly little-endian words — deterministic across processes,
 machines, and library versions by construction, which is what a
-distributed partition key requires.  Collision scale matches the old
-blake2b key (63 usable bits; the sign bit is shifted off so keys are
-non-negative int64, same as before).
+distributed partition key requires.
+
+Collisions: keys have 63 usable bits (the sign bit is shifted off so
+keys are non-negative int64).  The per-word down-shift is what keeps
+that true for structured strings: a multiply alone carries a
+difference only upward, so strings differing in a word's high bytes
+(``host0000…/000210`` vs ``host0009…/000215``) would collide.  With it,
+100k structured urls, 100k structured lines and 200k random prose
+lines hash without a collision (tests/test_vhash.py pins the urls).
 """
 
 from __future__ import annotations
@@ -115,7 +122,8 @@ def _fold(flat: np.ndarray, off: np.ndarray) -> np.ndarray:
             windows[start_s[a:] + 8 * w]).view(np.dtype("<u8")).ravel()
         if a2 > a:
             word[:a2 - a] &= tail_mask_s[a:a2]
-        h[a:] = (h[a:] ^ word) * _FNV_PRIME
+        x = (h[a:] ^ word) * _MIX1
+        h[a:] = x ^ (x >> _SHIFT33)
 
     h = _fmix64(h) >> np.uint64(1)  # non-negative int64, 63 usable bits
     out = np.empty(n, dtype=np.int64)
@@ -157,7 +165,8 @@ def hash64_py(s: str) -> int:
     h = (0xCBF29CE484222325 ^ len(data)) * 0x100000001B3 & mask
     for i in range(0, len(data), 8):
         word = int.from_bytes(data[i:i + 8], "little")
-        h = (h ^ word) * 0x100000001B3 & mask
+        x = (h ^ word) * 0xFF51AFD7ED558CCD & mask
+        h = x ^ (x >> 33)
     h ^= h >> 33
     h = h * 0xFF51AFD7ED558CCD & mask
     h ^= h >> 33
