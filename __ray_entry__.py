@@ -1795,8 +1795,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # checkpoint files to a fresh dir), resume there, and emit the
         # resumed crawl order. The oracle is the SAME independent
         # 2-round SQL replay — a hash match proves the resumed run
-        # (seen rebuilt by streaming frontier files, politeness bases
-        # restored from the manifest) equals the uninterrupted crawl.
+        # (seen set and politeness bases read off the copied frontier
+        # runs) equals the uninterrupted crawl.
         import os
         import shutil
 
@@ -2689,8 +2689,29 @@ def _webtext_clean_sql() -> str:
     """
 
 
+def _cached_fixture(name: str, tbl) -> str:
+    """Directory holding ``tbl`` as ``fixture.parquet``, named by a hash
+    of the table's content: a changed fixture gets a new directory, so
+    neither a query nor its SQL twin can be served a stale table, and
+    sessions never share a mutable path. Written tmp + rename."""
+    import hashlib
+    import tempfile
+
+    import pyarrow.parquet as pq
+
+    digest = hashlib.sha256(repr(tbl.to_pydict()).encode()).hexdigest()[:16]
+    out = os.path.join(tempfile.gettempdir(), f"wsr_{name}_{digest}")
+    path = os.path.join(out, "fixture.parquet")
+    if not os.path.exists(path):
+        os.makedirs(out, exist_ok=True)
+        tmp = f"{path}.{os.getpid()}.tmp"
+        pq.write_table(tbl, tmp)
+        os.replace(tmp, path)
+    return out
+
+
 def _render_fixture() -> str:
-    """Fixed-path planted table for the renderer byte oracles
+    """Content-keyed planted table for the renderer byte oracles
     (render_md_bytes / render_xml_bytes / render_html_bytes): 40 rows
     whose html body is a CONSTANT structure (`<main><h2>…</h2><p>…</p>
     </main>`), so each formatter's full output — frontmatter/envelope,
@@ -2698,35 +2719,24 @@ def _render_fixture() -> str:
     string template replayable as SQL concatenation. Values exercise
     the live escaping rules: quotes everywhere, `&`/`<`/`>` in title,
     `&` in url and description."""
-    import os
-
     import pyarrow as pa
-    import pyarrow.parquet as pq
 
-    out = "/tmp/wsr_render_fixture"
-    done = os.path.join(out, "_DONE")
-    if not os.path.exists(done):
-        os.makedirs(out, exist_ok=True)
-        ids = list(range(40))
-        tbl = pa.table({
-            "doc_id": pa.array(ids, pa.int64()),
-            "title": [f'Render Doc {i} "T{i}" & <tag>' for i in ids],
-            "url": [f"https://renderhost{i % 5}.example/doc/{i}?a={i}&b=2"
-                    for i in ids],
-            "date_s": [f"2024-03-{(i % 27) + 1:02d}" for i in ids],
-            "descr": [f'Summary {i} "D{i}" & more' for i in ids],
-            "h": [f'Heading {i} "H{i}"' for i in ids],
-            "p": [f'Paragraph {i} body "P{i}" one.' for i in ids],
-            "content": [f'Content {i} plain "C{i}" sentence.'
-                        for i in ids],
-        })
-        pq.write_table(tbl, os.path.join(out, "fixture.parquet"))
-        open(done, "w").close()
-    return out
+    ids = list(range(40))
+    return _cached_fixture("render_fixture", pa.table({
+        "doc_id": pa.array(ids, pa.int64()),
+        "title": [f'Render Doc {i} "T{i}" & <tag>' for i in ids],
+        "url": [f"https://renderhost{i % 5}.example/doc/{i}?a={i}&b=2"
+                for i in ids],
+        "date_s": [f"2024-03-{(i % 27) + 1:02d}" for i in ids],
+        "descr": [f'Summary {i} "D{i}" & more' for i in ids],
+        "h": [f'Heading {i} "H{i}"' for i in ids],
+        "p": [f'Paragraph {i} body "P{i}" one.' for i in ids],
+        "content": [f'Content {i} plain "C{i}" sentence.' for i in ids],
+    }))
 
 
 def _extract_fixture() -> str:
-    """Fixed-path planted table for the EXTRACTION byte oracle
+    """Content-keyed planted table for the EXTRACTION byte oracle
     (extract_bytes): 40 pages whose html body is a CONSTANT structure
     (`<nav>…<main><h2>h</h2><p>p<a href>atext</a></p></main><script>…
     <footer>…`), so the full extraction kernel's output — title
@@ -2736,10 +2746,7 @@ def _extract_fixture() -> str:
     over the RAW payload columns stored alongside the html. Payloads
     exercise the live escaping rules: quotes, `&`, `<b>`/`<tag>` in
     text nodes, `&` in attribute values."""
-    import os
-
     import pyarrow as pa
-    import pyarrow.parquet as pq
 
     def esc_text(s: str) -> str:
         return (s.replace("&", "&amp;").replace("<", "&lt;")
@@ -2748,39 +2755,32 @@ def _extract_fixture() -> str:
     def esc_attr(s: str) -> str:
         return s.replace("&", "&amp;").replace('"', "&quot;")
 
-    out = "/tmp/wsr_extract_fixture"
-    done = os.path.join(out, "_DONE")
-    if not os.path.exists(done):
-        os.makedirs(out, exist_ok=True)
-        ids = list(range(40))
-        title = [f'Extract Doc {i} "T{i}" & <tag>' for i in ids]
-        h = [f'Heading {i} "H{i}" & <b>' for i in ids]
-        p = [f'Paragraph {i} body "P{i}" one & two.' for i in ids]
-        descr = [f'Summary {i} "D{i}" & more' for i in ids]
-        atext = [f"next page {i}" for i in ids]
-        ahref = [f"/next/{i + 1}?x={i}&y=2" for i in ids]
-        url = [f"https://renderhost{i % 5}.example/doc/{i}?a={i}&b=2"
-               for i in ids]
-        html = [
-            f"<html><head><title>{esc_text(title[i])}</title>"
-            f'<meta property="og:description" '
-            f'content="{esc_attr(descr[i])}"></head>'
-            f"<body><nav>chrome nav</nav>"
-            f"<main><h2>{esc_text(h[i])}</h2><p>{esc_text(p[i])}"
-            f'<a href="{esc_attr(ahref[i])}">{esc_text(atext[i])}</a>'
-            f"</p></main><script>var junk=1;</script>"
-            f"<footer>site footer</footer></body></html>"
-            for i in ids
-        ]
-        tbl = pa.table({
-            "doc_id": pa.array(ids, pa.int64()),
-            "url": url, "html": html,
-            "title": title, "h": h, "p": p, "descr": descr,
-            "atext": atext, "ahref": ahref,
-        })
-        pq.write_table(tbl, os.path.join(out, "fixture.parquet"))
-        open(done, "w").close()
-    return out
+    ids = list(range(40))
+    title = [f'Extract Doc {i} "T{i}" & <tag>' for i in ids]
+    h = [f'Heading {i} "H{i}" & <b>' for i in ids]
+    p = [f'Paragraph {i} body "P{i}" one & two.' for i in ids]
+    descr = [f'Summary {i} "D{i}" & more' for i in ids]
+    atext = [f"next page {i}" for i in ids]
+    ahref = [f"/next/{i + 1}?x={i}&y=2" for i in ids]
+    url = [f"https://renderhost{i % 5}.example/doc/{i}?a={i}&b=2"
+           for i in ids]
+    html = [
+        f"<html><head><title>{esc_text(title[i])}</title>"
+        f'<meta property="og:description" '
+        f'content="{esc_attr(descr[i])}"></head>'
+        f"<body><nav>chrome nav</nav>"
+        f"<main><h2>{esc_text(h[i])}</h2><p>{esc_text(p[i])}"
+        f'<a href="{esc_attr(ahref[i])}">{esc_text(atext[i])}</a>'
+        f"</p></main><script>var junk=1;</script>"
+        f"<footer>site footer</footer></body></html>"
+        for i in ids
+    ]
+    return _cached_fixture("extract_fixture", pa.table({
+        "doc_id": pa.array(ids, pa.int64()),
+        "url": url, "html": html,
+        "title": title, "h": h, "p": p, "descr": descr,
+        "atext": atext, "ahref": ahref,
+    }))
 
 
 def _sql_lit(s: str) -> str:

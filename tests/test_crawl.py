@@ -97,6 +97,18 @@ def test_engine_fetched_counts(engine_result, model_result):
     assert res.n_admitted == len(model_result[0])
 
 
+def _copy_round0(src: str, dst: str) -> None:
+    """A checkpoint "killed" after round 0: only round 0's files."""
+    for name in os.listdir(src):
+        if name.startswith(("frontier_0000", "frontier_0001", "admitted_0000",
+                            "output_0000", "manifest_0000")):
+            s, d = os.path.join(src, name), os.path.join(dst, name)
+            if os.path.isdir(s):
+                shutil.copytree(s, d)
+            else:
+                shutil.copy(s, d)
+
+
 def test_engine_resume_equivalence(ray_session, small_corpus, tmp_path_factory,
                                    engine_result, model_result):
     """Kill after round 0 (simulated by copying its checkpoint files),
@@ -106,14 +118,7 @@ def test_engine_resume_equivalence(ray_session, small_corpus, tmp_path_factory,
     res_full, order_full = engine_result
     src = res_full.checkpoint_dir
     dst = str(tmp_path_factory.mktemp("ckpt_resume"))
-    for name in os.listdir(src):
-        if name.startswith(("frontier_0000", "frontier_0001", "admitted_0000",
-                            "output_0000", "manifest_0000")):
-            s = os.path.join(src, name)
-            if os.path.isdir(s):
-                shutil.copytree(s, os.path.join(dst, name))
-            else:
-                shutil.copy(s, os.path.join(dst, name))
+    _copy_round0(src, dst)
 
     res2 = run_crawl(
         f"{small_corpus}/pages",
@@ -141,14 +146,7 @@ def test_engine_resume_in_live_mode(ray_session, small_corpus, tmp_path_factory,
     res_full, order_full = engine_result
     src = res_full.checkpoint_dir
     dst = str(tmp_path_factory.mktemp("ckpt_resume_live"))
-    for name in os.listdir(src):
-        if name.startswith(("frontier_0000", "frontier_0001", "admitted_0000",
-                            "output_0000", "manifest_0000")):
-            s = os.path.join(src, name)
-            if os.path.isdir(s):
-                shutil.copytree(s, os.path.join(dst, name))
-            else:
-                shutil.copy(s, os.path.join(dst, name))
+    _copy_round0(src, dst)
 
     cfg_live = CrawlConfig(max_depth=CFG.max_depth, seen_shards=CFG.seen_shards,
                            fetch_join="live", fetch_concurrency=2)
@@ -179,13 +177,49 @@ def test_engine_max_pages_budget(ray_session, small_corpus, tmp_path_factory,
         f"{small_corpus}/pages", f"{small_corpus}/seeds.parquet", robots, cfg
     )
     ckpt = str(tmp_path_factory.mktemp("ckpt_budget"))
-    run_crawl(
+    res = run_crawl(
         f"{small_corpus}/pages", f"{small_corpus}/seeds.parquet", ckpt,
         robots_path=f"{small_corpus}/robots.parquet", config=cfg,
     )
     order_df = load_crawl_order(ckpt)
     assert len(order_df) == len(m_order) <= 15
     assert list(order_df["url"]) == [r["url"] for r in m_order]
+    assert res.seen.snapshot() == m_seen
+
+
+def test_budget_cut_counts_only_admitted_rows(ray_session, small_corpus,
+                                              tmp_path):
+    """max_pages=12 cuts round 1 (round 0 admits 6 urls, round 1 has 9):
+    all of round 1's urls stay seen, but the next frontier's politeness
+    bases count only its admitted rows, those up to the manifest's
+    cutoff."""
+    import json
+
+    import pyarrow.parquet as pq
+
+    from web_scraper_ray.crawl.frontier import load_crawl_order, run_crawl
+
+    cfg = CrawlConfig(max_depth=2, seen_shards=4, max_pages=12)
+    robots = RobotsRules.from_parquet(f"{small_corpus}/robots.parquet",
+                                      cfg.default_crawl_delay_ms)
+    m_order, m_seen = sequential_crawl(
+        f"{small_corpus}/pages", f"{small_corpus}/seeds.parquet", robots, cfg)
+    ckpt = str(tmp_path)
+    res = run_crawl(f"{small_corpus}/pages", f"{small_corpus}/seeds.parquet",
+                    ckpt, robots_path=f"{small_corpus}/robots.parquet", config=cfg)
+    order = load_crawl_order(ckpt)
+    assert list(order["url"]) == [r["url"] for r in m_order]
+    assert res.seen.snapshot() == m_seen
+    with open(os.path.join(ckpt, "manifest_0001.json")) as f:
+        cutoff = json.load(f)["cutoff"]
+    last = order.iloc[-1]
+    assert cutoff == [last[c] for c in ("vt", "priority", "pvt", "pli", "url")]
+    nxt = pq.read_table(os.path.join(ckpt, "frontier_0002")).to_pandas()
+    nxt = nxt.sort_values(["host", "priority", "pvt", "pli", "url"])
+    base = nxt["host"].map(order["host"].value_counts()).fillna(0)
+    rank = nxt.groupby("host").cumcount()
+    assert len(nxt) and list(nxt["vt"]) == list(
+        ((base + rank) * nxt["host"].map(robots.delay_ms)).astype(float))
 
 
 def test_crawl_empty_and_invalid_seeds(ray_session, small_corpus, tmp_path):
@@ -501,3 +535,106 @@ def test_url_gate_screens_all_rounds(ray_session, small_corpus,
     assert (verdict["kept"] == 1).all()
     # the gate is a pure filter on the discovered url universe
     assert set(order["url"]) <= set(order_bc["url"]) or len(order) > 0
+
+
+def _runs(ckpt: str) -> dict:
+    """Every frontier run file of a checkpoint, by relative path → bytes."""
+    out = {}
+    for name in sorted(os.listdir(ckpt)):
+        if name.startswith("frontier_"):
+            for f in sorted(os.listdir(os.path.join(ckpt, name))):
+                if f.endswith(".parquet"):
+                    with open(os.path.join(ckpt, name, f), "rb") as fh:
+                        out[f"{name}/{f}"] = fh.read()
+    return out
+
+
+def _resume(small_corpus, ckpt):
+    from web_scraper_ray.crawl.frontier import load_crawl_order, run_crawl
+
+    res = run_crawl(f"{small_corpus}/pages", f"{small_corpus}/seeds.parquet",
+                    ckpt, robots_path=f"{small_corpus}/robots.parquet",
+                    config=CFG, resume=True)
+    return res, load_crawl_order(ckpt)
+
+
+def test_resume_reuses_recorded_bucket_count(ray_session, small_corpus,
+                                             tmp_path, monkeypatch,
+                                             engine_result, model_result):
+    """Runs are keyed by bucket: a resume on a cluster whose size gives
+    another bucket count must keep the recorded one and reproduce the
+    uninterrupted crawl byte for byte."""
+    import json
+
+    from web_scraper_ray.crawl import frontier
+
+    res_full, order_full = engine_result
+    with open(os.path.join(res_full.checkpoint_dir, "manifest_0000.json")) as f:
+        recorded = json.load(f)["n_buckets"]
+    monkeypatch.setattr(frontier, "_n_buckets", lambda: recorded + 7)
+    _copy_round0(res_full.checkpoint_dir, str(tmp_path))
+    res, order = _resume(small_corpus, str(tmp_path))
+    assert order.equals(order_full)
+    assert _runs(str(tmp_path)) == _runs(res_full.checkpoint_dir)
+    assert res.seen.snapshot() == model_result[1]
+
+
+def test_resume_ignores_crashed_admission(ray_session, small_corpus, tmp_path,
+                                          engine_result, model_result):
+    """A crashed round-1 admission left a stray ``*.tmp`` beside a complete
+    run and a partial ``frontier_0002`` (one real run plus a torn file):
+    resume rewrites frontier_0002 and the crawl is byte-identical."""
+    res_full, order_full = engine_result
+    src, dst = res_full.checkpoint_dir, str(tmp_path)
+    _copy_round0(src, dst)
+    with open(os.path.join(dst, "frontier_0001", "part-00000.parquet.4242.tmp"), "wb") as f:
+        f.write(b"PAR1 torn")
+    os.makedirs(os.path.join(dst, "frontier_0002"))
+    first = sorted(os.listdir(os.path.join(src, "frontier_0002")))[0]
+    shutil.copy(os.path.join(src, "frontier_0002", first),
+                os.path.join(dst, "frontier_0002", first))
+    with open(os.path.join(dst, "frontier_0002", "part-99999.parquet"), "wb") as f:
+        f.write(b"PAR1 torn")
+    res, order = _resume(small_corpus, dst)
+    assert order.equals(order_full)
+    assert _runs(dst) == _runs(src)
+    assert res.seen.snapshot() == model_result[1]
+
+
+def test_seen_probe_confirms_hash_hits(ray_session, small_corpus, tmp_path,
+                                       monkeypatch, model_result):
+    """With the run hash cut to 3 bits nearly every candidate collides
+    with some seen url; only the string confirm keeps the crawl equal
+    to the model. (The admission task is a closure, so Ray ships it with
+    the patched module global.)"""
+    from web_scraper_ray.crawl import frontier
+    from web_scraper_ray.crawl.frontier import load_crawl_order, run_crawl
+    from web_scraper_ray.vhash import hash64_str
+
+    monkeypatch.setattr(frontier, "hash64_str", lambda v: hash64_str(v) & 7)
+    res = run_crawl(f"{small_corpus}/pages", f"{small_corpus}/seeds.parquet",
+                    str(tmp_path), robots_path=f"{small_corpus}/robots.parquet",
+                    config=CFG)
+    order = load_crawl_order(str(tmp_path))
+    m_order, m_seen = model_result
+    assert list(zip(order["round"], order["url"], order["vt"])) == [
+        (r["round"], r["url"], r["vt"]) for r in m_order]
+    assert res.seen.snapshot() == m_seen
+
+
+def test_manifests_hold_scalars_only(engine_result):
+    """No per-host state in any manifest: its size is independent of the
+    host count (the budget cutoff is one ORDER_KEYS tuple)."""
+    import glob
+    import json
+
+    res, _ = engine_result
+    paths = sorted(glob.glob(os.path.join(res.checkpoint_dir, "manifest_*.json")))
+    assert len(paths) == res.rounds == 3
+    for p in paths:
+        with open(p) as f:
+            m = json.load(f)
+        assert "host_counts" not in m
+        cutoff = m.pop("cutoff")
+        assert cutoff is None or len(cutoff) == 5
+        assert all(isinstance(v, (int, float)) for v in m.values()), m

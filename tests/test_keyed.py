@@ -1,6 +1,7 @@
 """ops/keyed.py — the one keyed-state table behind the dedup, boilerplate
 and span ops: placement parity of the query core, the shard-loss
-failure policy, and the structure rule that keeps it the only one."""
+failure policy, the structure rule that keeps it the only one, and the
+rule that the crawl frontier keeps no actor state at all."""
 
 import ast
 import pathlib
@@ -107,3 +108,23 @@ def test_keyed_state_lives_only_in_keyed_module():
                 found.append(f"{path.name}:{node.name}")
     assert found == ["keyed.py:_Shard"]
 
+
+
+def test_crawl_frontier_starts_no_actor():
+    """The crawl keeps its state in the frontier runs: crawl/frontier.py
+    defines no ``@ray.remote`` class, wraps nothing in ``ray.remote(...)``
+    at run time, and uses no actor-backed keyed state."""
+    path = (pathlib.Path(__file__).resolve().parents[1] / "web_scraper_ray"
+            / "crawl" / "frontier.py")
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ClassDef) and any(
+                _is_ray_remote(d) for d in node.decorator_list):
+            found.append(f"remote class {node.name}")
+        elif (isinstance(node, ast.Call) and node.args
+              and ast.unparse(node.func) == "ray.remote"):
+            found.append(f"ray.remote(...) wrap at line {node.lineno}")
+        elif isinstance(node, ast.Name) and node.id in (
+                "SeenSet", "SeenShard", "KeyTable"):
+            found.append(f"{node.id} at line {node.lineno}")
+    assert found == []

@@ -18,6 +18,8 @@ class CrawlConfig:
     ignore_patterns: tuple[str, ...] = ("/tags/", "/categories/")  # config.py:21
     default_crawl_delay_ms: int = 100
     max_pages: int | None = None  # global cap on fetched pages (by crawl order)
+    # shard count of a standalone crawl.seen.SeenSet only: run_crawl's
+    # seen set is its frontier runs and starts no shard actors
     seen_shards: int = 8
     respect_robots: bool = True
     # fetch strategy: "broadcast" (admitted set into the object store

@@ -9,9 +9,9 @@ Dataset execution with ONE all-to-all shuffle:
       → map_batches(extract_batch)  [frontier meta riding as columns]
       → in-pipeline output_r parquet write (idempotent per-batch files)
       → flat_map link candidates (validity / ignore / robots filters)
-      → host-bucket groupby fusing [in-round dedup → seen-shard screen
-        → virtual-time assignment]
-      → frontier_{r+1} parquet sink
+      → host-bucket groupby fusing [in-round dedup → seen anti-join
+        against the bucket's runs → virtual-time assignment → write of
+        the bucket's run frontier_{r+1}/part-{b}]
 
 so extraction, the output write, discovery, and the admission shuffle
 all overlap under the streaming executor, and the corpus is scanned
@@ -37,28 +37,35 @@ Determinism at any parallelism (SURVEY.md §4.2):
   global integer rank is ever materialized (ranks don't distribute;
   the sort key does).
 
+Crawl state lives in the frontier runs, not in actors. Frontier k is
+one run per host bucket, ``frontier_k/part-{b:05d}.parquet``, and a url
+is seen once it is admitted into a frontier. So the admission task of
+bucket b for frontier k reads the bucket's runs of rounds < k and:
+* screens ``seen`` by probing the runs' sorted ``hash64_str`` url
+  hashes, confirming every hit against the stored url string (a 64-bit
+  collision never drops a url) — no set is resident between rounds;
+* takes each host's politeness base as its count of admitted rows in
+  those runs: all of a fully fetched round, and only the rows up to the
+  manifest's ``cutoff`` (last admitted ORDER_KEYS tuple) of a round a
+  ``max_pages`` budget truncated;
+* writes its own run (tmp file + ``os.replace``, deterministic bytes);
+  it reads only earlier runs, so a retried task rewrites the same file.
+
 Checkpoint/resume (north rule): every round writes ``output_r`` +
-``frontier_{r+1}`` (and ``admitted_r`` when a ``max_pages`` budget
-truncates) and then an atomically-renamed ``manifest_r.json`` (lineage,
-row counts, cumulative per-host admitted counts). ``seen`` is exactly
-the union of all frontier files — adds happen only at frontier creation
-— so resume rebuilds the seen shards by STREAMING those files through
-``SeenSet.add_dataset`` (never a driver-side URL list), restores host
-counters from the last manifest, and continues at the first round
-without a manifest.
+``frontier_{r+1}`` (+ ``admitted_r`` under a budget cut), then an
+atomically-renamed ``manifest_r.json`` of scalars only: row counts,
+totals, the bucket count, the cutoff. Resume continues at the first
+round without a manifest from the runs on disk, reusing the recorded
+bucket count. Readers list ``*.parquet`` only, so a stray ``*.tmp`` is
+inert.
 
 Driver-state discipline (the 10^10-frontier contract): the round loop
-never materializes a round in one process. Per-round driver state is
-O(#hosts) (the cumulative politeness counters, also persisted in the
-manifest) plus scalars:
-
-* frontier row counts come from parquet FOOTER METADATA, not data;
-* budget truncation is a distributed ``sort(ORDER_KEYS).limit(K)``;
-* per-host admitted counts are per-batch ``value_counts`` partials
-  (combiner pattern) merged on the driver — #hosts rows, never #urls;
-* the frontier's (priority, vt, pvt, pli) ride the fetch-join as
-  COLUMNS through extraction into discovery — there is no url→meta
-  broadcast dict anywhere.
+never materializes a round in one process and holds scalars only —
+frontier row counts come from parquet FOOTER METADATA; budget
+truncation is a distributed ``sort(ORDER_KEYS).limit(K)`` whose cutoff
+a Ray task computes; the frontier's (priority, vt, pvt, pli) ride the
+fetch-join as COLUMNS into discovery (no url→meta dict). Only the
+opt-in ``politeness_mode="ranked"`` folds a per-host bases dict.
 
 Scale notes (10^10 frontier, SURVEY.md §7):
 * The fetch-join is pluggable (CrawlConfig.fetch_join): ``broadcast``
@@ -92,6 +99,7 @@ import shutil
 import time
 from typing import Optional
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -107,11 +115,11 @@ from ..functions.urls import (
     matches_ignore_patterns,
     url_hash64,
 )
+from ..ops.keyed import lookup_sorted
 from ..stages.extract_stage import extract_batch
 from ..vhash import hash64_str
 from .config import CrawlConfig
 from .robots import RobotsRules
-from .seen import SeenSet
 
 CANDIDATE_SCHEMA = pa.schema(
     [
@@ -129,7 +137,10 @@ CANDIDATE_SCHEMA = pa.schema(
     ]
 )
 
-FRONTIER_COLUMNS = ["url", "host", "priority", "pvt", "pli", "vt"]
+FRONTIER_SCHEMA = pa.schema(
+    [CANDIDATE_SCHEMA.field(n) for n in ["url", "host", "priority", "pvt", "pli"]]
+    + [("vt", pa.float64())])
+FRONTIER_COLUMNS = FRONTIER_SCHEMA.names
 ORDER_KEYS = ["vt", "priority", "pvt", "pli", "url"]
 #: frontier metadata that rides the fetch-join → extraction → discovery
 META_COLUMNS = ["priority", "vt", "pvt", "pli"]
@@ -137,10 +148,10 @@ META_COLUMNS = ["priority", "vt", "pvt", "pli"]
 
 def _n_buckets() -> int:
     """Admission shuffle width: ~2 reduce tasks per core, floor 16.
-    The bucket VALUE for a url is ``url_hash64(host) % _n_buckets()``, so
-    it must stay constant within one crawl (it does: cluster size is
-    fixed for a run; resume on a different size is safe because buckets
-    only shape task granularity, never semantics)."""
+    The bucket VALUE for a url is ``url_hash64(host) % n_buckets`` and
+    frontier runs are keyed by it, so one crawl keeps one value: it is
+    recorded in every manifest, and resume reuses the recorded value
+    whatever the size of the cluster it resumes on."""
     try:
         cpus = int(ray.cluster_resources().get("CPU", 0))
     except Exception:
@@ -148,9 +159,30 @@ def _n_buckets() -> int:
     return max(16, 2 * cpus) if cpus else 64
 
 
+class RunSeen:
+    """Read-only view of a crawl's URL-seen set: the union of its first
+    ``n_runs`` frontiers' runs (a url is seen once it is admitted into
+    a frontier). No process holds the set and no actor backs it."""
+
+    def __init__(self, checkpoint_dir: str, n_runs: int):
+        self._files = [f for k in range(n_runs)
+                       for f in _parquet_files(_frontier_dir(checkpoint_dir, k))]
+
+    def size(self) -> int:
+        # frontiers are disjoint (a url is admitted once): footers suffice
+        return sum(pq.read_metadata(f).num_rows for f in self._files)
+
+    def snapshot(self) -> set[str]:
+        return {u for f in self._files
+                for u in pq.read_table(f, columns=["url"])["url"].to_pylist()}
+
+    def shard_handles(self) -> list:
+        return []
+
+
 class CrawlResult:
     def __init__(self, checkpoint_dir: str, rounds: int, n_admitted: int, n_fetched: int,
-                 seen: SeenSet):
+                 seen: RunSeen):
         self.checkpoint_dir = checkpoint_dir
         self.rounds = rounds
         self.n_admitted = n_admitted
@@ -186,7 +218,8 @@ def _push_candidate(rows: dict, canon: str, priority: int, pvt: float, pli: int,
     rows["bucket"].append(url_hash64(host) % n_buckets)
 
 
-def _seed_candidates(seeds_path: str, robots_ref, config: CrawlConfig) -> ray.data.Dataset:
+def _seed_candidates(seeds_path: str, robots_ref, config: CrawlConfig,
+                     n_buckets: int) -> ray.data.Dataset:
     # Size the seed read by FOOTER row count: Ray's default parallelism
     # splits even a few-MB seed table into ~2 blocks/CPU, and the seed
     # round (the only execution with no corpus scan to hide behind) then
@@ -206,7 +239,6 @@ def _seed_candidates(seeds_path: str, robots_ref, config: CrawlConfig) -> ray.da
         ds = ray.data.read_parquet(seeds_path, override_num_blocks=blocks)
     except Exception:
         ds = ray.data.read_parquet(seeds_path)
-    n_buckets = _n_buckets()  # driver-side: one consistent value per run
 
     def to_cands(batch: pa.Table) -> pa.Table:
         robots: RobotsRules = ray.get(robots_ref)
@@ -234,12 +266,11 @@ def _seed_candidates(seeds_path: str, robots_ref, config: CrawlConfig) -> ray.da
 
 
 def _link_candidates(
-    output_ds: ray.data.Dataset, robots_ref, config: CrawlConfig
+    output_ds: ray.data.Dataset, robots_ref, config: CrawlConfig, n_buckets: int
 ) -> ray.data.Dataset:
     """Fetched round output → next-round candidate rows (discovery).
     Parent ordering metadata arrives as COLUMNS on the slim output
     (META_COLUMNS) — no url→meta broadcast dict exists."""
-    n_buckets = _n_buckets()  # driver-side: one consistent value per run
 
     def expand(batch: pa.Table) -> pa.Table:
         robots: RobotsRules = ray.get(robots_ref)
@@ -267,31 +298,6 @@ def _link_candidates(
     return output_ds.map_batches(expand, batch_format="pyarrow")
 
 
-@ray.remote(num_cpus=0)
-class _HostBases:
-    """Cumulative per-host admitted counts (the politeness bases),
-    held in ONE actor and updated by the driver with per-round DELTAS —
-    replacing a per-round ``ray.put`` of the full (growing) dict.
-    Admission bucket tasks query only THEIR hosts' counts, so the
-    state crossing the wire per round is O(round's hosts), not
-    O(all hosts ever seen)."""
-
-    def __init__(self):
-        self.counts: dict[str, int] = {}
-
-    def update(self, delta: dict) -> None:
-        for h, c in delta.items():
-            self.counts[h] = self.counts.get(h, 0) + c
-
-    def get(self, hosts: list) -> list:
-        return [self.counts.get(h, 0) for h in hosts]
-
-    def all(self) -> dict:
-        # full snapshot — only the opt-in ranked-politeness mode needs
-        # it (its two-pass rank broadcasts the bases dict)
-        return dict(self.counts)
-
-
 # --------------------------------------------------------------------------
 # the fused per-bucket admission stage
 
@@ -312,64 +318,124 @@ def _precombine(df: pd.DataFrame) -> pd.DataFrame:
     )
 
 
-def _admit(cands: ray.data.Dataset, seen: SeenSet, bases_actor, robots_ref,
-           assign_vt: bool = True) -> ray.data.Dataset:
-    """ONE shuffle: host-bucket groupby fusing in-round dedup, seen-shard
-    anti-join, and per-host virtual-time assignment (see module doc).
-    With ``assign_vt=False`` the vt step is skipped (the ranked
-    politeness mode assigns it afterwards, ranked_politeness.py)."""
-    shard_handles = seen.shard_handles()
-    n_shards = seen.n_shards
+def _frontier_dir(ckpt: str, k: int) -> str:
+    return os.path.join(ckpt, f"frontier_{k:04d}")
+
+
+def _run_path(ckpt: str, k: int, b: int) -> str:
+    return os.path.join(_frontier_dir(ckpt, k), f"part-{b:05d}.parquet")
+
+
+def _le_cutoff(t: pa.Table, cut: list) -> np.ndarray:
+    """Rows of ``t`` whose ORDER_KEYS tuple is <= ``cut``."""
+    le = np.zeros(t.num_rows, dtype=bool)
+    eq = np.ones(t.num_rows, dtype=bool)
+    for c, v in zip(ORDER_KEYS, cut):
+        col = t[c].to_numpy()
+        le |= eq & (col < v)
+        eq &= col == v
+    return le | eq
+
+
+def _read_runs(runs: list, cutoffs: dict) -> tuple[np.ndarray, pd.Series]:
+    """``(urls, admitted rows per host)`` of the ``(round, file)`` runs.
+    Every row is seen; a row counts toward its host's politeness base
+    only if it was admitted, i.e. up to the cutoff of a round a budget
+    truncated (``cutoffs``: round → ORDER_KEYS tuple)."""
+    urls, hosts = [], []
+    for k, path in runs:
+        if not os.path.exists(path):
+            continue  # the bucket had no admitted url that round
+        cut = cutoffs.get(k)
+        with pq.ParquetFile(path) as pf:  # one file: skip dataset discovery
+            t = pf.read(columns=FRONTIER_COLUMNS if cut else ["url", "host"])
+        urls.append(t["url"])
+        hosts.append(t["host"] if cut is None else t["host"].filter(_le_cutoff(t, cut)))
+    url_arr = pa.chunked_array(urls, pa.string()).to_numpy()
+    host_arr = pa.chunked_array(hosts, pa.string()).to_numpy()
+    return url_arr, pd.Series(host_arr, dtype=object).value_counts()
+
+
+def _write_run(df: pd.DataFrame, ckpt: str, k: int, b: int) -> pd.DataFrame:
+    """Write bucket ``b``'s rows of frontier ``k`` as its run, sorted by
+    ORDER_KEYS so the bytes are deterministic; tmp file + ``os.replace``
+    so a reader never sees a partial run. Returns the row count."""
+    if len(df):
+        t = pa.Table.from_pandas(df.sort_values(ORDER_KEYS, kind="mergesort"),
+                                 schema=FRONTIER_SCHEMA, preserve_index=False)
+        path = _run_path(ckpt, k, b)
+        tmp = f"{path}.{os.getpid()}.tmp"
+        pq.write_table(t, tmp)
+        os.replace(tmp, path)
+    return pd.DataFrame({"n": [len(df)]})
+
+
+def _admit(cands: ray.data.Dataset, ckpt: str, k: int, cutoffs: dict,
+           robots_ref, assign_vt: bool = True) -> ray.data.Dataset:
+    """ONE shuffle: host-bucket groupby fusing in-round dedup, the seen
+    anti-join against the bucket's runs of rounds < ``k``, per-host
+    virtual-time assignment and the write of the bucket's run of
+    frontier ``k`` (see module doc); yields one row count per bucket.
+    With ``assign_vt=False`` it yields the screened rows instead (the
+    ranked politeness mode assigns vt and writes afterwards,
+    ranked_politeness.py)."""
     cands = cands.map_batches(_precombine, batch_format="pandas")
 
     def bucket_admit(g: pd.DataFrame) -> pd.DataFrame:
+        b = int(g["bucket"].iloc[0])
         # 1. in-round dedup: min winner key per url == first discovery
         #    in sequential crawl order (model.py step 4)
         g = g.sort_values(_DEDUP_SORT, kind="mergesort").drop_duplicates(
             subset=["url"], keep="first"
         )
 
-        # 2. seen anti-join: batched check_and_add on the shard actors
-        urls = g["url"].tolist()
-        routed: dict[int, list[str]] = {}
-        for u in urls:
-            routed.setdefault(url_hash64(u) % n_shards, []).append(u)
-        futures = {sid: shard_handles[sid].check_and_add.remote(us)
-                   for sid, us in routed.items()}
-        results = {sid: ray.get(f) for sid, f in futures.items()}
-        cursors = {sid: 0 for sid in routed}
-        mask = []
-        for u in urls:
-            sid = url_hash64(u) % n_shards
-            mask.append(results[sid][cursors[sid]])
-            cursors[sid] += 1
-        g = g.loc[mask]
-        if len(g) == 0:
-            cols = [("url", "object"), ("host", "object"), ("priority", "int64"),
-                    ("pvt", "float64"), ("pli", "int64")]
-            if assign_vt:
-                cols.append(("vt", "float64"))
-            return pd.DataFrame({c: pd.Series([], dtype=d) for c, d in cols})
-
+        # 2. seen anti-join: the bucket's earlier runs hold every seen
+        #    url of its hosts (bucket = f(host)). Probe their sorted url
+        #    hashes and confirm each hit against the stored string, so a
+        #    64-bit collision can never drop a url.
+        seen, admitted = _read_runs(
+            [(j, _run_path(ckpt, j, b)) for j in range(k)], cutoffs)
+        urls = g["url"].to_numpy()
+        ks = hash64_str(seen)
+        o = np.argsort(ks, kind="stable")
+        qi, pos = lookup_sorted(ks[o], o, hash64_str(urls))
+        dup = np.zeros(len(urls), dtype=bool)
+        dup[qi[seen[pos] == urls[qi]]] = True
+        g = g.loc[~dup]
         if not assign_vt:
-            return g[["url", "host", "priority", "pvt", "pli"]].copy()
+            return g[["url", "host", "priority", "pvt", "pli", "bucket"]]
 
         # 3. politeness: k-th candidate of host (ordered by priority,
-        #    pvt, pli, url) gets vt = (base + k) * delay (model.py step 1)
+        #    pvt, pli, url) gets vt = (base + k) * delay (model.py step 1),
+        #    base = the host's admitted rows in the same runs
         robots: RobotsRules = ray.get(robots_ref)
         g = g.sort_values(["host", "priority", "pvt", "pli", "url"], kind="mergesort")
-        k = g.groupby("host", sort=False).cumcount()
-        # only THIS bucket's hosts cross the wire (delta-actor bases)
-        hosts_u = g["host"].unique().tolist()
-        bases = dict(zip(hosts_u,
-                         ray.get(bases_actor.get.remote(hosts_u))))
-        base = g["host"].map(lambda h: bases.get(h, 0))
+        rank = g.groupby("host", sort=False).cumcount()
+        base = g["host"].map(admitted).fillna(0).astype("int64")
         delay = g["host"].map(robots.delay_ms)
         g = g[["url", "host", "priority", "pvt", "pli"]].copy()
-        g["vt"] = ((base + k) * delay).astype(float)
-        return g
+        g["vt"] = ((base + rank) * delay).astype(float)
+        return _write_run(g, ckpt, k, b)
 
     return cands.groupby("bucket").map_groups(bucket_admit, batch_format="pandas")
+
+
+@ray.remote(num_cpus=0)
+def _ranked_bases(ckpt: str, k: int, cutoffs: dict) -> dict:
+    """Per-host politeness bases of frontier ``k`` for the ranked mode,
+    read off all runs of rounds < ``k`` (#hosts entries)."""
+    runs = [(j, f) for j in range(k) for f in _parquet_files(_frontier_dir(ckpt, j))]
+    _, admitted = _read_runs(runs, cutoffs)
+    return {h: int(c) for h, c in admitted.items()}
+
+
+@ray.remote(num_cpus=0)
+def _budget_cutoff(files: list) -> list:
+    """ORDER_KEYS tuple of the last row a budget admitted: the maximum
+    of the truncated round's admitted rows (url makes it a total order)."""
+    t = pq.read_table(files, columns=ORDER_KEYS)
+    t = t.sort_by([(c, "descending") for c in ORDER_KEYS]).slice(0, 1)
+    return [t[c][0].as_py() for c in ORDER_KEYS]
 
 
 def _apply_url_gate(cands: ray.data.Dataset,
@@ -389,37 +455,41 @@ def _apply_url_gate(cands: ray.data.Dataset,
     return cands.map_batches(gate, batch_format="pandas")
 
 
-def _admit_with_mode(cands: ray.data.Dataset, seen: SeenSet, bases_actor,
+def _admit_with_mode(cands: ray.data.Dataset, ckpt: str, k: int, cutoffs: dict,
                      robots_ref, robots: RobotsRules,
                      config: CrawlConfig) -> ray.data.Dataset:
-    """Dispatch between the fused bucket politeness (default; one host =
-    one vectorized task) and the range-partitioned two-pass rank
-    (politeness_mode='ranked' — hosts may span blocks; the giant-host
-    path, ranked_politeness.py). The optional URL pre-fetch gate runs
-    first — both discovery sites (seeds, link expansion) feed through
-    here, so the gate screens every candidate exactly once."""
+    """Admit candidates into frontier ``k``'s runs, dispatching between
+    the fused bucket politeness (default; one host = one vectorized
+    task) and the range-partitioned two-pass rank (politeness_mode=
+    'ranked' — hosts may span blocks; the giant-host path,
+    ranked_politeness.py), which writes through the same per-bucket run
+    writer. The optional URL pre-fetch gate runs first — both discovery
+    sites (seeds, link expansion) feed through here, so the gate screens
+    every candidate exactly once."""
     if config.url_gate is not None:
         cands = _apply_url_gate(cands, config.url_gate)
     if config.politeness_mode == "ranked":
         from .ranked_politeness import assign_virtual_time_ranked
 
-        screened = _admit(cands, seen, bases_actor, robots_ref,
-                          assign_vt=False)
-        bases = ray.get(bases_actor.all.remote())
-        return assign_virtual_time_ranked(screened, bases, robots)
-    return _admit(cands, seen, bases_actor, robots_ref)
+        screened = _admit(cands, ckpt, k, cutoffs, robots_ref, assign_vt=False)
+        bases = ray.get(_ranked_bases.remote(ckpt, k, cutoffs))
+        ranked = assign_virtual_time_ranked(screened, bases, robots, drop_cols=())
+        return ranked.groupby("bucket").map_groups(
+            lambda g: _write_run(g, ckpt, k, int(g["bucket"].iloc[0])),
+            batch_format="pandas")
+    return _admit(cands, ckpt, k, cutoffs, robots_ref)
 
 
 # --------------------------------------------------------------------------
 # fetch + extract
 
 @ray.remote(num_cpus=0)
-def _load_admitted(adm_dir: str) -> pa.Table:
+def _load_admitted(adm_files: list) -> pa.Table:
     """Broadcast-side load for the broadcast fetch-join: runs as a Ray
     TASK so the admitted table (url + META_COLUMNS, no html) lands in
     the shared-memory object store, never on the driver. Downstream
     tasks ``ray.get`` it zero-copy."""
-    return pq.read_table(adm_dir, columns=["url"] + META_COLUMNS)
+    return pq.read_table(adm_files, columns=["url"] + META_COLUMNS)
 
 
 def _bucketed_fetch_join(pages: ray.data.Dataset,
@@ -481,6 +551,30 @@ def _bucketed_fetch_join(pages: ray.data.Dataset,
     return both.groupby("bucket").map_groups(join_group, batch_format="pandas")
 
 
+def _batch_name(urls: pa.ChunkedArray) -> str:
+    """Content-derived file stem of one batch: a retried task writes
+    the same name and overwrites instead of duplicating."""
+    import hashlib
+
+    key = f"{urls[0].as_py()}|{urls[len(urls) - 1].as_py()}|{len(urls)}"
+    return hashlib.blake2b(key.encode(), digest_size=8).hexdigest()
+
+
+def _record_lost(out: pa.Table, errors_dir: Optional[str]) -> pa.Array:
+    """Mask of a live fetch batch's fetched rows. The others (error /
+    miss) must not vanish: their urls are already seen (admission-time),
+    so a dropped transient failure would be a PERMANENT silent page
+    loss. They go to ``errors_dir`` as one content-named file per batch;
+    a re-crawl/requeue policy reads errors_* instead of guessing."""
+    keep = pc.equal(out["status"], "fetched")
+    lost = out.filter(pc.invert(keep))
+    if errors_dir and lost.num_rows:
+        os.makedirs(errors_dir, exist_ok=True)
+        pq.write_table(lost.select(["url", "status", "error"]),
+                       os.path.join(errors_dir, f"err-{_batch_name(lost['url'])}.parquet"))
+    return keep
+
+
 class _MetaCarryingFetcher:
     """Live-mode fetch actor: wraps any fetcher class (optionally
     behind the token-bucket ``RateLimiter`` via ``ThrottledFetcher``)
@@ -502,30 +596,14 @@ class _MetaCarryingFetcher:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         out = self.inner(batch.select(["url"]))
-        keep = pc.equal(out["status"], "fetched")
-        # un-fetched rows (error/miss) must not vanish: the URL is
-        # already in the seen set (admission-time add), so a dropped
-        # transient failure would be a PERMANENT silent page loss.
-        # They are recorded per round (idempotent content-named file);
-        # a re-crawl/requeue policy reads errors_* instead of guessing.
-        lost = out.filter(pc.invert(keep))
-        if self.errors_dir and lost.num_rows:
-            import hashlib
-
-            urls = lost["url"].to_pylist()
-            name = hashlib.blake2b(
-                f"{urls[0]}|{urls[-1]}|{lost.num_rows}".encode(), digest_size=8
-            ).hexdigest()
-            os.makedirs(self.errors_dir, exist_ok=True)
-            pq.write_table(lost.select(["url", "status", "error"]),
-                           os.path.join(self.errors_dir, f"err-{name}.parquet"))
+        keep = _record_lost(out, self.errors_dir)
         fetched = pa.table({"url": out["url"], "html": out["html"]})
         for c in META_COLUMNS:
             fetched = fetched.append_column(c, batch[c])
         return fetched.filter(keep)
 
 
-def _live_fetch(adm_dir: str, config: CrawlConfig, fetcher_cls=None,
+def _live_fetch(adm_files: list, config: CrawlConfig, fetcher_cls=None,
                 fetcher_kwargs: Optional[dict] = None,
                 rate_limiter=None,
                 errors_dir: Optional[str] = None) -> ray.data.Dataset:
@@ -534,8 +612,8 @@ def _live_fetch(adm_dir: str, config: CrawlConfig, fetcher_cls=None,
     no corpus join exists at all. With a corpus-backed fetcher this is
     byte-identical to the scan modes (test_live_fetch_mode_parity);
     with ``HttpFetcher`` + ``rate_limiter`` it is the real deployment.
-    Un-fetched rows land in ``errors_dir`` (see _MetaCarryingFetcher)."""
-    adm = ray.data.read_parquet(adm_dir, columns=["url"] + META_COLUMNS)
+    Un-fetched rows land in ``errors_dir`` (see _record_lost)."""
+    adm = ray.data.read_parquet(adm_files, columns=["url"] + META_COLUMNS)
     return adm.map_batches(
         _MetaCarryingFetcher,
         batch_format="pyarrow",
@@ -548,7 +626,7 @@ def _live_fetch(adm_dir: str, config: CrawlConfig, fetcher_cls=None,
     )
 
 
-def _live_requeue_fetch(adm_dir: str, config: CrawlConfig, fetcher_cls,
+def _live_requeue_fetch(adm_files: list, config: CrawlConfig, fetcher_cls,
                         fetcher_kwargs: Optional[dict], rate_limiter,
                         errors_dir: Optional[str] = None) -> ray.data.Dataset:
     """Live fetch via the NON-BLOCKING defer/requeue loop
@@ -565,27 +643,15 @@ def _live_requeue_fetch(adm_dir: str, config: CrawlConfig, fetcher_cls,
 
     kwargs = dict(fetcher_kwargs or {})
     sleep = kwargs.pop("sleep", None)  # injectable clock (tests)
-    adm_urls = ray.data.read_parquet(adm_dir, columns=["url"])
+    adm_urls = ray.data.read_parquet(adm_files, columns=["url"])
     fetched, _rounds = fetch_with_requeue(
         adm_urls, fetcher_cls=fetcher_cls, limiter=rate_limiter,
         sleep=sleep, concurrency=config.fetch_concurrency,
         batch_size=config.fetch_batch_size, **kwargs)
-    adm_ref = _load_admitted.remote(adm_dir)
+    adm_ref = _load_admitted.remote(adm_files)
 
     def attach_meta(batch: pa.Table) -> pa.Table:
-        keep = pc.equal(batch["status"], "fetched")
-        lost = batch.filter(pc.invert(keep))
-        if errors_dir and lost.num_rows:
-            import hashlib
-
-            urls = lost["url"].to_pylist()
-            name = hashlib.blake2b(
-                f"{urls[0]}|{urls[-1]}|{lost.num_rows}".encode(),
-                digest_size=8).hexdigest()
-            os.makedirs(errors_dir, exist_ok=True)
-            pq.write_table(lost.select(["url", "status", "error"]),
-                           os.path.join(errors_dir, f"err-{name}.parquet"))
-        sel = batch.filter(keep)
+        sel = batch.filter(_record_lost(batch, errors_dir))
         adm: pa.Table = ray.get(adm_ref)  # zero-copy plasma read
         idx = pc.index_in(sel["url"], value_set=adm["url"])
         meta = adm.take(idx)
@@ -645,8 +711,8 @@ def _fetch_and_extract(
     streaming executor."""
     from ..pipelines.flagship import _default_blocks
 
-    shutil.rmtree(odir, ignore_errors=True)  # crashed-attempt leftovers
-    os.makedirs(odir, exist_ok=True)
+    _reset_dir(odir)  # crashed-attempt leftovers
+    adm_files = _parquet_files(adm_dir)
 
     if join_mode == "live":
         if fetcher_cls is None:
@@ -661,10 +727,10 @@ def _fetch_and_extract(
             fetcher_kwargs = dict(fetcher_kwargs or {}, pages_path=pages_path)
         if config.live_requeue and rate_limiter is not None:
             fetched = _live_requeue_fetch(
-                adm_dir, config, fetcher_cls, fetcher_kwargs, rate_limiter,
+                adm_files, config, fetcher_cls, fetcher_kwargs, rate_limiter,
                 errors_dir=os.path.join(odir, "errors"))
         else:
-            fetched = _live_fetch(adm_dir, config, fetcher_cls,
+            fetched = _live_fetch(adm_files, config, fetcher_cls,
                                   fetcher_kwargs, rate_limiter,
                                   errors_dir=os.path.join(odir, "errors"))
         extracted = fetched.map_batches(_extract_with_meta,
@@ -674,10 +740,10 @@ def _fetch_and_extract(
     if join_mode == "bucketed":
         pages = ray.data.read_parquet(pages_path, columns=["url", "html"],
                                       override_num_blocks=_default_blocks())
-        adm_ds = ray.data.read_parquet(adm_dir, columns=["url"] + META_COLUMNS)
+        adm_ds = ray.data.read_parquet(adm_files, columns=["url"] + META_COLUMNS)
         fetched = _bucketed_fetch_join(pages, adm_ds)
     else:
-        adm_ref = _load_admitted.remote(adm_dir)
+        adm_ref = _load_admitted.remote(adm_files)
 
         def keep_admitted(batch: pa.Table) -> pa.Table:
             adm: pa.Table = ray.get(adm_ref)  # zero-copy plasma read
@@ -705,7 +771,7 @@ def _fetch_and_extract(
                 "pages_hidx")
             idx_dir = build_hash_index(pages_path, "url", index_dir,
                                        columns=["url", "html"])
-            adm_urls = ray.data.read_parquet(adm_dir, columns=["url"])
+            adm_urls = ray.data.read_parquet(adm_files, columns=["url"])
             pages = hash_lookup(idx_dir, adm_urls, "url",
                                 columns=["url", "html"])
         else:
@@ -739,16 +805,10 @@ def _write_and_slim_stage(extracted: ray.data.Dataset, round_no: int,
                 "pvt": pa.array([], pa.float64()),
                 "pli": pa.array([], pa.int64()),
             })
-        urls = batch["url"].to_pylist()
         full = batch.select(full_cols).append_column(
             "depth", pa.array([round_no] * batch.num_rows, pa.int64())
         )
-        import hashlib
-
-        name = hashlib.blake2b(
-            f"{urls[0]}|{urls[-1]}|{batch.num_rows}".encode(), digest_size=8
-        ).hexdigest()
-        pq.write_table(full, os.path.join(odir, f"part-{name}.parquet"))
+        pq.write_table(full, os.path.join(odir, f"part-{_batch_name(batch['url'])}.parquet"))
         return batch.select(slim_cols)
 
     # batch_size=2048 coalesces the write: extraction upstream runs at
@@ -783,51 +843,30 @@ def _complete_rounds(ckpt: str) -> list[int]:
     return rounds
 
 
-def _read_dir(ckpt: str, name: str, columns=None) -> Optional[pa.Table]:
-    path = os.path.join(ckpt, name)
-    if os.path.isdir(path) and os.listdir(path):
-        return pq.read_table(path, columns=columns)
-    return None
+def _reset_dir(path: str) -> None:
+    shutil.rmtree(path, ignore_errors=True)
+    os.makedirs(path, exist_ok=True)
 
 
 def _parquet_files(path: str) -> list[str]:
+    """The ``*.parquet`` files of a directory — never a writer's tmp."""
     if not os.path.isdir(path):
         return []
     return [os.path.join(path, f) for f in sorted(os.listdir(path))
             if f.endswith(".parquet")]
 
 
+def _round_files(ckpt: str, r: int) -> list[str]:
+    """Round ``r``'s admitted rows: ``admitted_r`` when a budget
+    truncated the round, else frontier ``r``."""
+    return (_parquet_files(os.path.join(ckpt, f"admitted_{r:04d}"))
+            or _parquet_files(_frontier_dir(ckpt, r)))
+
+
 def _dir_num_rows(path: str) -> int:
     """Row count from parquet FOOTER metadata only — no data is read,
     no table is materialized (the 10^10-frontier discipline)."""
     return sum(pq.read_metadata(f).num_rows for f in _parquet_files(path))
-
-
-@ray.remote(num_cpus=0.5)
-def _file_host_counts(path: str) -> dict[str, int]:
-    """value_counts of one parquet file's ``host`` column — a combiner
-    partial of size #hosts, never #urls."""
-    vc = pc.value_counts(pq.read_table(path, columns=["host"])["host"].combine_chunks())
-    return dict(zip(vc.field("values").to_pylist(),
-                    (int(c) for c in vc.field("counts").to_pylist())))
-
-
-def _host_count_delta(path: str) -> dict[str, int]:
-    """Per-host admitted counts for one frontier/admitted directory:
-    one lightweight Ray task per file (parallel column read →
-    ``value_counts`` partial), merged on the driver — the driver sees
-    #hosts rows, never #urls. Plain tasks, not a Dataset execution:
-    this runs once per round between pipelines, and the streaming
-    executor's fixed startup would otherwise be a per-round barrier
-    tax (BASELINE.md, BFS-barrier floor)."""
-    files = _parquet_files(path)
-    if not files:
-        return {}
-    delta: dict[str, int] = {}
-    for part in ray.get([_file_host_counts.remote(f) for f in files]):
-        for h, n in part.items():
-            delta[h] = delta.get(h, 0) + n
-    return delta
 
 
 def crawl_order_ds(checkpoint_dir: str) -> "ray.data.Dataset":
@@ -837,12 +876,9 @@ def crawl_order_ds(checkpoint_dir: str) -> "ray.data.Dataset":
     tests/inspection)."""
     parts = []
     for r in _complete_rounds(checkpoint_dir):
-        name = f"admitted_{r:04d}"
-        path = os.path.join(checkpoint_dir, name)
-        if not (os.path.isdir(path) and os.listdir(path)):
-            path = os.path.join(checkpoint_dir, f"frontier_{r:04d}")
-        if os.path.isdir(path) and os.listdir(path):
-            ds = ray.data.read_parquet(path)
+        files = _round_files(checkpoint_dir, r)
+        if files:
+            ds = ray.data.read_parquet(files)
             ds = ds.map_batches(
                 lambda t, _r=r: t.append_column(
                     "round", pa.array([_r] * t.num_rows, pa.int64())
@@ -864,9 +900,8 @@ def load_crawl_order(checkpoint_dir: str) -> pd.DataFrame:
     helper); at scale consume the per-round parquet as a Dataset."""
     frames = []
     for r in _complete_rounds(checkpoint_dir):
-        tbl = _read_dir(checkpoint_dir, f"admitted_{r:04d}") # budget mode
-        if tbl is None:
-            tbl = _read_dir(checkpoint_dir, f"frontier_{r:04d}")
+        files = _round_files(checkpoint_dir, r)
+        tbl = pq.read_table(files) if files else None
         if tbl is not None and tbl.num_rows:
             df = tbl.to_pandas()
             df["round"] = r
@@ -908,95 +943,62 @@ def run_crawl(
         else RobotsRules.empty(config.default_crawl_delay_ms)
     )
     robots_ref = ray.put(robots)
-    seen = SeenSet(config.seen_shards)
-    # politeness bases live in a delta-updated actor: the driver sends
-    # each round's per-host DELTA, never re-ships the full dict
-    bases_actor = _HostBases.remote()
-
-    host_counts: dict[str, int] = {}
+    n_buckets = _n_buckets()
+    # budget-truncated round -> cutoff (at most one: a cut spends the budget)
+    cutoffs: dict[int, list] = {}
     pages_budget = config.max_pages
-    start_round = 0
-    total_admitted = 0
-    total_fetched = 0
-    # per-host counts of the NEXT round's frontier, computed where the
-    # frontier is written so the loop head needs no extra pass (None →
-    # recompute, e.g. on resume or after budget truncation)
-    pending_delta: Optional[dict[str, int]] = None
+    start_round = total_admitted = total_fetched = 0
 
     done_rounds = _complete_rounds(checkpoint_dir) if resume else []
     if done_rounds:
-        last = done_rounds[-1]
-        with open(_manifest_path(checkpoint_dir, last)) as f:
-            m = json.load(f)
-        host_counts = dict(m["host_counts"])
-        ray.get(bases_actor.update.remote(host_counts))  # restore bases
-        total_admitted = m["total_admitted"]
-        total_fetched = m["total_fetched"]
+        # the runs on disk ARE the seen set and the bases: only scalars
+        # come back from the manifests
+        for r in done_rounds:
+            with open(_manifest_path(checkpoint_dir, r)) as f:
+                m = json.load(f)
+            if m["cutoff"] is not None:
+                cutoffs[r] = m["cutoff"]
+        n_buckets = m["n_buckets"]  # runs are keyed by bucket
+        total_admitted, total_fetched = m["total_admitted"], m["total_fetched"]
         if pages_budget is not None:
             pages_budget -= total_admitted
-        # seen = union of all frontier files written so far (incl. next):
-        # STREAMED through the shard actors, never a driver URL list
-        frontier_files = [
-            f
-            for r in range(last + 2)
-            for f in _parquet_files(
-                os.path.join(checkpoint_dir, f"frontier_{r:04d}")
-            )
-        ]
-        if frontier_files:
-            seen.add_dataset(
-                ray.data.read_parquet(frontier_files, columns=["url"])
-            )
-        start_round = last + 1
+        start_round = done_rounds[-1] + 1
     else:
-        # Round 0 discovery: seeds → fused admit → frontier_0 (with vt)
-        cands = _seed_candidates(seeds_path, robots_ref, config)
-        frontier0 = _admit_with_mode(cands, seen, bases_actor, robots_ref,
-                                     robots, config)
-        fdir0 = os.path.join(checkpoint_dir, "frontier_0000")
-        shutil.rmtree(fdir0, ignore_errors=True)  # crashed-attempt leftovers
-        frontier0.write_parquet(fdir0)
-        seen.commit_round()
-        pending_delta = _host_count_delta(fdir0)
+        # Round 0 discovery: seeds → fused admit → frontier_0 runs
+        cands = _seed_candidates(seeds_path, robots_ref, config, n_buckets)
+        _reset_dir(_frontier_dir(checkpoint_dir, 0))  # crashed-attempt leftovers
+        _admit_with_mode(cands, checkpoint_dir, 0, cutoffs, robots_ref,
+                         robots, config).count()
 
     for r in range(start_round, config.max_depth + 1):
         if pages_budget is not None and pages_budget <= 0:
             break
-        fdir = os.path.join(checkpoint_dir, f"frontier_{r:04d}")
+        fdir = _frontier_dir(checkpoint_dir, r)
         n_frontier = _dir_num_rows(fdir)
         if n_frontier == 0:
             break
         t0 = time.time()
 
         # budget truncation: DISTRIBUTED crawl-order sort + limit
+        adm_dir, n_admitted = fdir, n_frontier
         if pages_budget is not None and n_frontier > pages_budget:
-            adir = os.path.join(checkpoint_dir, f"admitted_{r:04d}")
-            shutil.rmtree(adir, ignore_errors=True)
-            os.makedirs(adir, exist_ok=True)
+            adm_dir = os.path.join(checkpoint_dir, f"admitted_{r:04d}")
+            _reset_dir(adm_dir)
             (
-                ray.data.read_parquet(fdir, columns=FRONTIER_COLUMNS)
+                ray.data.read_parquet(_parquet_files(fdir), columns=FRONTIER_COLUMNS)
                 .sort(ORDER_KEYS)
                 .limit(pages_budget)
-                .write_parquet(adir)
+                .write_parquet(adm_dir)
             )
-            adm_dir = adir
-            n_admitted = _dir_num_rows(adir)
-            delta = _host_count_delta(adir)  # truncation changed the set
-        else:
-            adm_dir = fdir
-            n_admitted = n_frontier
-            delta = pending_delta if pending_delta is not None else _host_count_delta(fdir)
-        pending_delta = None
-        for h, c in delta.items():
-            host_counts[h] = host_counts.get(h, 0) + c
-        # awaited: admission tasks later this round must see the delta
-        ray.get(bases_actor.update.remote(delta))
+            n_admitted = _dir_num_rows(adm_dir)
+            # later bases count frontier r only up to its last admitted row
+            cutoffs[r] = ray.get(_budget_cutoff.remote(_parquet_files(adm_dir)))
         if pages_budget is not None:
             pages_budget -= n_admitted
 
         # ONE execution per round: corpus scan → fetch-join → extract
         # (+ in-pipeline output write) → discovery → fused admit →
-        # next frontier
+        # next frontier's runs
         odir = os.path.join(checkpoint_dir, f"output_{r:04d}")
         out_slim = _fetch_and_extract(pages_path, adm_dir, r, odir,
                                       join_mode=config.fetch_join,
@@ -1005,25 +1007,18 @@ def run_crawl(
                                       rate_limiter=rate_limiter)
         n_next = 0
         if r < config.max_depth:
-            cands = _link_candidates(out_slim, robots_ref, config)
-            nxt = _admit_with_mode(cands, seen, bases_actor, robots_ref,
-                                   robots, config)
-            ndir = os.path.join(checkpoint_dir, f"frontier_{r + 1:04d}")
-            shutil.rmtree(ndir, ignore_errors=True)  # crashed-attempt leftovers
-            nxt.write_parquet(ndir)
-            seen.commit_round()  # frontier durable -> fold pending adds
-            # next round's host delta + row count in one tiny host-column
-            # pass (also serves as the write barrier check)
-            pending_delta = _host_count_delta(ndir)
-            n_next = sum(pending_delta.values())
+            cands = _link_candidates(out_slim, robots_ref, config, n_buckets)
+            ndir = _frontier_dir(checkpoint_dir, r + 1)
+            _reset_dir(ndir)  # crashed-attempt leftovers
+            _admit_with_mode(cands, checkpoint_dir, r + 1, cutoffs, robots_ref,
+                             robots, config).count()
+            n_next = _dir_num_rows(ndir)
         else:
             # no expansion: consume the pipeline to drive the writes
             out_slim.map_batches(
                 lambda t: t.select(["url"]), batch_format="pyarrow"
             ).count()
-        n_fetched = sum(
-            pq.read_metadata(f).num_rows for f in _parquet_files(odir)
-        )
+        n_fetched = _dir_num_rows(odir)
 
         total_admitted += n_admitted
         total_fetched += n_fetched
@@ -1033,7 +1028,8 @@ def run_crawl(
             "n_admitted": n_admitted,
             "n_fetched": n_fetched,
             "n_next_frontier": n_next,
-            "host_counts": host_counts,
+            "n_buckets": n_buckets,
+            "cutoff": cutoffs.get(r),
             "total_admitted": total_admitted,
             "total_fetched": total_fetched,
             "elapsed_s": time.time() - t0,
@@ -1041,5 +1037,7 @@ def run_crawl(
         if n_next == 0:
             break
 
-    return CrawlResult(checkpoint_dir, len(_complete_rounds(checkpoint_dir)),
-                       total_admitted, total_fetched, seen)
+    n_rounds = len(_complete_rounds(checkpoint_dir))
+    # frontier k > max_depth is never written
+    seen = RunSeen(checkpoint_dir, min(n_rounds, config.max_depth) + 1)
+    return CrawlResult(checkpoint_dir, n_rounds, total_admitted, total_fetched, seen)

@@ -2,6 +2,12 @@
 and an exact backing set (north rule: "bloom/cuckoo URL-seen"; SURVEY.md
 §2.8 D4, §7).
 
+``run_crawl`` does not use this class: its seen set is the union of its
+frontier runs, probed per host bucket by the admission task
+(crawl/frontier.py module doc). :class:`SeenSet` stays a standalone
+structure for callers that want an incremental, actor-resident set
+(and for the benchmark's replay of the crawl's candidate stream).
+
 Design:
 
 * URLs route to shard ``url_hash64(url) % n_shards`` — a stable content
@@ -10,8 +16,7 @@ Design:
   an exact ``set``. A filter miss is a definitive "never seen" (cuckoo
   filters have no false negatives); a filter hit is confirmed against
   the exact set, so **no URL is ever falsely dropped** (SURVEY.md §4.2).
-  At 10^10 URLs the exact tier pages older entries to Parquet and keeps
-  the filter resident; in this sandbox the exact set is in-memory.
+  Both tiers are in memory.
 * The API is batch-only (one actor round trip per map_batches call) and
   ``check_and_add`` is idempotent, so Ray task retries cannot corrupt
   the set.
@@ -140,7 +145,7 @@ class SeenShard:
         return len(self.exact)
 
     def add_batch(self, urls: list[str]) -> int:
-        """Direct committed-tier add (resume restore path)."""
+        """Direct committed-tier add (:meth:`SeenSet.add`)."""
         for u in urls:
             if u not in self.exact:
                 self.exact.add(u)
@@ -213,28 +218,6 @@ class SeenSet:
 
         routed = self._route(urls)
         ray.get([self.shards[sid].add_batch.remote(us) for sid, us in routed.items()])
-
-    def add_dataset(self, ds) -> None:
-        """Stream a Dataset with a ``url`` column into the committed
-        tier (resume restore path): each map_batches task routes its
-        batch to the shard actors directly, so no URL list is ever
-        collected in one process (the 10^10-frontier discipline)."""
-        import pyarrow as pa
-        import ray
-
-        handles = self.shards
-        n_shards = self.n_shards
-
-        def add_fn(batch: "pa.Table") -> "pa.Table":
-            urls = batch["url"].to_pylist()
-            routed: dict[int, list[str]] = {}
-            for u in urls:
-                routed.setdefault(url_hash64(u) % n_shards, []).append(u)
-            ray.get([handles[sid].add_batch.remote(us)
-                     for sid, us in routed.items()])
-            return pa.table({"n": pa.array([len(urls)], pa.int64())})
-
-        ds.map_batches(add_fn, batch_format="pyarrow").count()
 
     def size(self) -> int:
         import ray
