@@ -1,10 +1,13 @@
 """ops/keyed.py — the one keyed-state table behind the dedup, boilerplate
-and span ops: placement parity of the query core, the shard-loss
+and span ops: placement parity of the query core, the shared shard pool
+(tables never mix keys, a collected table frees its keys), the shard-loss
 failure policy, the structure rule that keeps it the only one, and the
 rule that the crawl frontier keeps no actor state at all."""
 
 import ast
+import gc
 import pathlib
+import time
 
 import numpy as np
 import pytest
@@ -17,6 +20,22 @@ def _table_rows():
             for k, p in zip(keys, rng.integers(0, 6, 400))]
 
 
+def _model(rows):
+    model = {}
+    for r in rows:
+        model.setdefault(r["k"], set()).add(r["p"])
+    return model
+
+
+def _assert_answers(t, model):
+    """``t`` answers ``contains``/``lookup`` exactly like ``model``."""
+    q = np.arange(-70, 70, dtype=np.int64)
+    assert (t.contains(q) == np.array([int(k) in model for k in q])).all()
+    qi, p = t.lookup(q)
+    assert list(zip(qi.tolist(), p.tolist())) == [
+        (i, p) for i, k in enumerate(q) for p in sorted(model.get(int(k), ()))]
+
+
 def test_placements_answer_alike(ray_session):
     """broadcast and sharded tables give identical contains/lookup
     answers, equal to a dict model (repeated pairs count once,
@@ -26,19 +45,10 @@ def test_placements_answer_alike(ray_session):
     from web_scraper_ray.ops.keyed import KeyTable
 
     rows = _table_rows()
-    model = {}
-    for r in rows:
-        model.setdefault(r["k"], set()).add(r["p"])
-    q = np.arange(-60, 60, dtype=np.int64)
-    want_hit = np.array([int(k) in model for k in q])
-    want_pairs = [(i, p) for i, k in enumerate(q)
-                  for p in sorted(model.get(int(k), ()))]
     for placement in ("broadcast", "sharded"):
         ds = ray.data.from_items(rows, override_num_blocks=3)
         t = KeyTable(ds, "k", "p", placement=placement, n_shards=3)
-        assert (t.contains(q) == want_hit).all(), placement
-        qi, p = t.lookup(q)
-        assert list(zip(qi.tolist(), p.tolist())) == want_pairs, placement
+        _assert_answers(t, _model(rows))
         qi, p = t.lookup(np.empty(0, np.int64))
         assert len(qi) == len(p) == 0, placement
 
@@ -59,6 +69,109 @@ def test_dead_shard_raises_named_error(ray_session):
     with pytest.raises(KeyShardLost, match="key shard 1 of 4"):
         t.lookup(q)
 
+
+
+def _actor_ids(shards):
+    return [s._actor_id.hex() for s in shards]
+
+
+def _sharded(rows, n_shards):
+    import ray.data
+
+    from web_scraper_ray.ops.keyed import KeyTable
+
+    return KeyTable(ray.data.from_items(rows, override_num_blocks=3), "k", "p",
+                    placement="sharded", n_shards=n_shards)
+
+
+def _kill(shard):
+    """``ray.kill`` the actor and wait until calls to it fail."""
+    import ray
+
+    ray.kill(shard)
+    for _ in range(200):
+        try:
+            ray.get(shard.__ray_ready__.remote())
+        except ray.exceptions.RayActorError:
+            return
+        time.sleep(0.05)
+    raise AssertionError("killed shard actor still answers")
+
+
+def test_tables_share_the_pool_and_never_mix_keys(ray_session):
+    """Two live tables with overlapping keys and different payloads use
+    the same actors, yet each answers like its own dict model; a wider
+    third table grows the pool and changes neither answer."""
+    from web_scraper_ray.ops import keyed
+
+    rows_a = _table_rows()
+    rows_b = [{"k": r["k"] + 7, "p": r["p"] + 100} for r in rows_a[::2]]
+    a, b = _sharded(rows_a, 3), _sharded(rows_b, 3)
+    assert _actor_ids(a._shards) == _actor_ids(b._shards)
+    _assert_answers(a, _model(rows_a))
+    _assert_answers(b, _model(rows_b))
+
+    wide = len(keyed._pool) + 2
+    rows_c = [{"k": r["k"], "p": r["p"] + 1000} for r in rows_a[1::3]]
+    c = _sharded(rows_c, wide)
+    assert len(keyed._pool) == wide
+    assert _actor_ids(c._shards)[:3] == _actor_ids(a._shards)
+    _assert_answers(a, _model(rows_a))
+    _assert_answers(b, _model(rows_b))
+    _assert_answers(c, _model(rows_c))
+
+
+def test_table_built_after_a_kill_gets_a_fresh_actor(ray_session):
+    """A dead pool actor is replaced when the next table is built: the
+    new table answers correctly, the old one still raises."""
+    from web_scraper_ray.ops.keyed import KeyShardLost
+
+    rows = _table_rows()
+    old = _sharded(rows, 4)
+    dead = _actor_ids(old._shards)[1]
+    _kill(old._shards[1])
+    new = _sharded(rows, 4)
+    ids = _actor_ids(new._shards)
+    assert dead not in ids
+    assert ids[:1] + ids[2:] == _actor_ids(old._shards)[:1] + _actor_ids(
+        old._shards)[2:]
+    _assert_answers(new, _model(rows))
+    with pytest.raises(KeyShardLost, match="key shard 1 of 4"):
+        old.contains(np.arange(-60, 60, dtype=np.int64))
+
+
+def test_stale_session_builds_a_new_pool(ray_session, monkeypatch):
+    """A pool recorded under another session is never reused."""
+    from web_scraper_ray.ops import keyed
+
+    rows = _table_rows()
+    before = _actor_ids(_sharded(rows, 2)._shards)
+    monkeypatch.setattr(keyed, "_pool_session", "a-finished-session")
+    t = _sharded(rows, 2)
+    assert not set(_actor_ids(t._shards)) & set(before)
+    assert _actor_ids(keyed._pool) == _actor_ids(t._shards)
+    _assert_answers(t, _model(rows))
+
+
+def test_collected_table_frees_its_keys(ray_session):
+    """Collecting a sharded KeyTable drops its id on every shard: asked
+    directly with the old id, the shards answer empty. The finalizer of
+    a table from another session touches nothing."""
+    import ray
+
+    from web_scraper_ray.ops import keyed
+
+    t = _sharded(_table_rows(), 3)
+    shards, tid = t._shards, t._tid
+    q = np.arange(-60, 60, dtype=np.int64)
+    keyed._drop("a-finished-session", shards, tid)
+    assert any(ray.get(s.contains.remote(tid, q)).any() for s in shards)
+    del t
+    gc.collect()
+    for s in shards:
+        assert not ray.get(s.contains.remote(tid, q)).any()
+        qi, p = ray.get(s.lookup.remote(tid, q))
+        assert len(qi) == len(p) == 0
 
 def _docs():
     import ray.data
@@ -95,19 +208,37 @@ def _is_ray_remote(dec: ast.expr) -> bool:
     return isinstance(fn, ast.Attribute) and fn.attr == "remote"
 
 
+def _shard_spawns(node: ast.AST, scope: str, path: str, found: list):
+    """Every ``_Shard.remote()`` / ``_Shard.options(...).remote()``
+    under ``node``, as ``file:enclosing function``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{child.name}" if scope else child.name
+            _shard_spawns(child, inner, path, found)
+            continue
+        if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                and child.func.attr == "remote"
+                and ast.unparse(child.func.value).startswith("_Shard")):
+            found.append(f"{path}:{scope}")
+        _shard_spawns(child, scope, path, found)
+
+
 def test_keyed_state_lives_only_in_keyed_module():
     """No ``@ray.remote`` class under ops/ outside ops/keyed.py: hash-
     sharded keyed state has one implementation (KeyTable), not one
-    actor class per op."""
+    actor class per op. And only the pool helper starts ``_Shard``
+    actors: no op and no KeyTable path spawns actors per table."""
     ops = pathlib.Path(__file__).resolve().parents[1] / "web_scraper_ray" / "ops"
-    found = []
+    found, spawns = [], []
     for path in sorted(ops.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef) and any(
                     _is_ray_remote(d) for d in node.decorator_list):
                 found.append(f"{path.name}:{node.name}")
+        _shard_spawns(tree, "", path.name, spawns)
     assert found == ["keyed.py:_Shard"]
-
+    assert spawns == ["keyed.py:_pool_shards"]
 
 
 def test_crawl_frontier_starts_no_actor():

@@ -35,9 +35,10 @@ line TEXT never rides a shuffle):
    looks up its own hosts' line keys and drops its lines by
    ``searchsorted`` membership; the corpus streams in place. The
    table is ``broadcast`` (one object-store copy, the driver never
-   holds it) or ``sharded`` across key actors by host hash so no
-   process holds the full set — right when hosts × boilerplate lines
-   outgrow a node. ``mode="auto"`` switches on the measured set size.
+   holds it) or ``sharded`` by host hash over the session's pooled key
+   actors so no process holds the full set — right when hosts ×
+   boilerplate lines outgrow a node. ``mode="auto"`` switches on the
+   measured set size.
 
 Kernel discipline: every per-batch pass is Arrow-native — regex host
 extract, line split/flatten, hashing, membership, and the ordered
@@ -260,8 +261,9 @@ def strip_boilerplate(
     one constant-state sketch scan of the small keys table, never of
     the corpus). Both regimes stream the corpus IN PLACE (no text
     all-to-all): ``broadcast`` keeps the slim (host hash, line key)
-    table in the object store, ``sharded`` partitions it into actors by
-    host hash; the two are byte-identical (test_boilerplate)."""
+    table in the object store, ``sharded`` partitions it by host hash
+    over the pooled key actors; the two are byte-identical
+    (test_boilerplate)."""
     keys = _qualifying_keys(ds, url_col, text_col, min_pages,
                             n_buckets).materialize()
     if mode == "auto":

@@ -51,9 +51,10 @@ def subtract_ids(
       array in the object store, read zero-copy by every filter task.
     * ``sharded`` (web-scale drop sets, O(corpus) ids — 30-50%
       near-dup rates; what ``auto`` picks above ``broadcast_limit``):
-      ``max(4, n_buckets // 4)`` membership actors by ``id % n_shards``;
-      each filter batch asks them about its own ids only (slim int64s
-      both ways).
+      ``max(4, n_buckets // 4)`` shards by ``id % n_shards`` on the
+      session's pooled key actors (no actor starts per call); each
+      filter batch asks them about its own ids only (slim int64s both
+      ways).
 
     ``mode='auto'`` picks by the drop set's row count (parquet/block
     metadata — the drop Dataset is materialized either way)."""
@@ -94,10 +95,11 @@ def exact_dedup(ds: ray.data.Dataset, text_col: str = "text",
     (id, content_md5, bucket) — document text never rides it. Losers
     (every id that is not its content group's min) are then removed by
     :func:`subtract_ids`, which broadcasts small loser sets through
-    the object store and shards them across key actors when the loser
-    set is corpus-sized (``subtract_mode``). ``ds`` is consumed twice (hash pass +
-    filter pass) — pass a re-readable source (e.g. a parquet read),
-    not an expensive unmaterialized pipeline."""
+    the object store and shards them across the pooled key actors
+    when the loser set is corpus-sized (``subtract_mode``). ``ds`` is
+    consumed twice (hash pass + filter pass) — pass a re-readable
+    source (e.g. a parquet read), not an expensive unmaterialized
+    pipeline."""
     slim = ds.select_columns([id_col, text_col]).map_batches(
         lambda df: add_md5_batch(df, text_col).drop(columns=[text_col]),
         batch_format="pandas",
@@ -198,7 +200,8 @@ def dedup_against(
     corpus add nothing to the anti-join). The filter itself is
     :func:`subtract_ids`' two regimes: a zero-shuffle object-store
     broadcast while the prior key set fits (``broadcast_limit``),
-    hash-sharded key actors when the prior corpus is web-scale — in
+    hash-sharded over the pooled key actors when the prior corpus is
+    web-scale — in
     both, the only data that ever moves is 8-byte keys, never text.
 
     Exactness: first-occurrence-wins ACROSS corpora (prior always
@@ -296,11 +299,11 @@ def paragraph_dedup(
        up its own docs' loser positions, re-splits them locally and
        drops those positions. ``broadcast`` keeps the table in the
        object store (small loser sets); ``sharded`` (what ``auto``
-       picks above ``broadcast_limit``) partitions it into actors by
-       doc id — at web-scale repetition rates the loser table is
-       O(total paragraphs), i.e. corpus-shaped, and no process holds
-       it. Text never rides a shuffle in either; both rebuilds are
-       bit-identical (test_ops).
+       picks above ``broadcast_limit``) partitions it by doc id over
+       the session's pooled key actors — at web-scale repetition
+       rates the loser table is O(total paragraphs), i.e.
+       corpus-shaped, and no process holds it. Text never rides a
+       shuffle in either; both rebuilds are bit-identical (test_ops).
 
     ``ds`` is consumed twice (hash pass + rebuild pass) — pass a
     re-readable source. Oracle twin: ``para_dedup`` in

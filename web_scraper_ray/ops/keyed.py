@@ -9,18 +9,32 @@ Two placements, one query core (:func:`contains_sorted` /
 * ``broadcast``: a Ray task folds the table into ONE sorted array pair
   in the object store; every query task reads it zero-copy. The driver
   never holds it.
-* ``sharded``: ``n_shards`` actors own ``key % n_shards`` each, fed by a
-  ``map_batches`` pass behind a ``.count()`` barrier. No process holds
-  the full table, and a query ships only its own keys to the shards it
-  touches. Each shard sorts on its first query and re-sorts if a retried
-  feed lands late, so a repeated add is harmless.
+* ``sharded``: actor ``key % n_shards`` of a shared pool holds that
+  shard, fed by a ``map_batches`` pass behind a ``.count()`` barrier.
+  No process holds the full table, and a query ships only its own keys
+  to the shards it touches. A shard sorts a table on its first query
+  and re-sorts if a retried feed lands late, so a repeated add is
+  harmless.
 
-Failure policy: a shard actor that dies loses its part of the table,
-so every later query raises :class:`KeyShardLost` naming the shard and
-the op, instead of answering from a partial set.
+Pool: the sharded tables one process builds in one Ray session share
+one list of ``num_cpus=0``, ``SPREAD`` actors; a table uses the first
+``n_shards``, growing the list if needed. Shards keep each table's keys
+under its fresh id, so tables never mix keys (an unknown id answers
+empty). A table's keys go when its driver-side :class:`KeyTable` is
+collected; Ray Data's dataset graphs are cyclic, so that can wait for
+the cyclic GC, but the keys are slim and no process is left behind.
+
+Failure policy: building a table replaces dead pool actors (one
+batched ``__ray_ready__`` round). A table that had keys on an actor
+that died raises :class:`KeyShardLost` on every later query, naming
+the shard and the op, instead of answering from a partial set.
 """
 
 from __future__ import annotations
+
+import contextlib
+import itertools
+import weakref
 
 import numpy as np
 import pyarrow as pa
@@ -79,30 +93,85 @@ def _fold(key_col: str, payload_col: str | None, *blocks):
 
 @ray.remote(num_cpus=0)
 class _Shard:
-    def __init__(self):
-        self._chunks: list = []
-        self._table = None
+    """One pool actor: each table's chunks and sorted pair, by table id."""
 
-    def add(self, keys: np.ndarray, payloads: np.ndarray | None) -> int:
-        self._chunks.append((keys, payloads))
-        self._table = None
+    def __init__(self):
+        self._chunks: dict = {}
+        self._tables: dict = {}
+
+    def add(self, tid: int, keys: np.ndarray, payloads) -> int:
+        self._chunks.setdefault(tid, []).append((keys, payloads))
+        self._tables.pop(tid, None)
         return len(keys)
 
-    def _sorted(self):
-        if self._table is None:
-            chunks = self._chunks or [(np.empty(0, np.int64),) * 2]
-            ks = [c[0] for c in chunks]
-            ps = [c[1] for c in chunks if c[1] is not None]
-            self._table = _build(np.concatenate(ks),
-                                 np.concatenate(ps) if ps else None)
-            self._chunks = [self._table]
-        return self._table
+    def drop(self, tid: int) -> None:
+        self._chunks.pop(tid, None)
+        self._tables.pop(tid, None)
 
-    def contains(self, q: np.ndarray) -> np.ndarray:
-        return contains_sorted(self._sorted()[0], q)
+    def _sorted(self, tid: int):
+        if tid not in self._chunks:
+            return (np.empty(0, np.int64),) * 2
+        if tid not in self._tables:
+            ks = [c[0] for c in self._chunks[tid]]
+            ps = [c[1] for c in self._chunks[tid] if c[1] is not None]
+            self._tables[tid] = _build(np.concatenate(ks),
+                                       np.concatenate(ps) if ps else None)
+            self._chunks[tid] = [self._tables[tid]]
+        return self._tables[tid]
 
-    def lookup(self, q: np.ndarray):
-        return lookup_sorted(*self._sorted(), q)
+    def contains(self, tid: int, q: np.ndarray) -> np.ndarray:
+        return contains_sorted(self._sorted(tid)[0], q)
+
+    def lookup(self, tid: int, q: np.ndarray):
+        return lookup_sorted(*self._sorted(tid), q)
+
+
+_pool: list = []  # this session's _Shard handles, shared by every table
+_pool_session = None  # the Ray session _pool belongs to
+_table_ids = itertools.count()
+
+
+def _session():
+    return ray.is_initialized() and ray.get_runtime_context().get_node_id()
+
+
+def _pool_shards(n: int) -> list:
+    """The first ``n`` live actors of this session's pool, grown to ``n``."""
+    global _pool_session
+    session = _session()
+    if session != _pool_session:
+        _pool[:], _pool_session = [], session
+    for i, ready in enumerate([a.__ray_ready__.remote() for a in _pool]):
+        try:
+            ray.get(ready)
+        except ray.exceptions.RayActorError:
+            _pool[i] = None
+    _pool.extend([None] * (n - len(_pool)))
+    _pool[:] = [_Shard.options(scheduling_strategy="SPREAD").remote()
+                if a is None else a for a in _pool]
+    return _pool[:n]
+
+
+def _drop(session, shards: list, tid: int) -> None:
+    """Finalizer (skipped at exit): free table ``tid`` on every shard
+    while its session lives; after ``ray.shutdown()`` a call would
+    start a new session."""
+    if session and _session() == session:
+        with contextlib.suppress(Exception):
+            for s in shards:
+                s.drop.remote(tid)
+
+
+def _wait(op: str, n_shards: int, sids: list, futs: list) -> list:
+    out = []
+    for s, f in zip(sids, futs):
+        try:
+            out.append(ray.get(f))
+        except ray.exceptions.RayActorError as e:
+            raise KeyShardLost(
+                f"{op}: key shard {s} of {n_shards} died; "
+                "its part of the table is lost") from e
+    return out
 
 
 class KeyTable:
@@ -120,9 +189,9 @@ class KeyTable:
             return
         if placement != "sharded":
             raise ValueError(f"unknown {op} mode: {placement}")
-        shards = [_Shard.options(scheduling_strategy="SPREAD").remote()
-                  for _ in range(n_shards)]
-        self._shards = shards
+        shards, tid = _pool_shards(n_shards), next(_table_ids)
+        self._shards, self._tid = shards, tid
+        weakref.finalize(self, _drop, _pool_session, shards, tid).atexit = False
 
         def feed(batch: pa.Table) -> pa.Table:
             if batch.num_rows:
@@ -130,33 +199,22 @@ class KeyTable:
                 p = _column([batch], payload_col)
                 sid = k % n_shards
                 ids = [int(s) for s in np.unique(sid)]
-                self._wait(ids, [shards[s].add.remote(
-                    k[sid == s], None if p is None else p[sid == s])
+                _wait(op, n_shards, ids, [shards[s].add.remote(
+                    tid, k[sid == s], None if p is None else p[sid == s])
                     for s in ids])
             return pa.table({"n": [batch.num_rows]})
 
         # barrier: every key registered before any query runs
         ds.map_batches(feed, batch_format="pyarrow").count()
 
-    def _wait(self, sids: list, futs: list) -> list:
-        out = []
-        for s, f in zip(sids, futs):
-            try:
-                out.append(ray.get(f))
-            except ray.exceptions.RayActorError as e:
-                raise KeyShardLost(
-                    f"{self.op}: key shard {s} of {self.n_shards} died; "
-                    "its part of the table is lost") from e
-        return out
-
     def _ask(self, method: str, q: np.ndarray):
         """(query positions, answer) per shard the queries route to."""
         sid = q % self.n_shards
         ids = [int(s) for s in np.unique(sid)]
         pos = [np.flatnonzero(sid == s) for s in ids]
-        futs = [getattr(self._shards[s], method).remote(q[i])
+        futs = [getattr(self._shards[s], method).remote(self._tid, q[i])
                 for s, i in zip(ids, pos)]
-        return zip(pos, self._wait(ids, futs))
+        return zip(pos, _wait(self.op, self.n_shards, ids, futs))
 
     def contains(self, keys) -> np.ndarray:
         q = np.asarray(keys, dtype=np.int64)

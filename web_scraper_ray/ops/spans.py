@@ -21,8 +21,9 @@ Ray-Data shape (two passes over a re-readable ``ds``, mirroring
      (``contains``) AND interval-union coverage are computed per batch
      with no further shuffle. ``broadcast`` keeps the set as one sorted
      int64 array in the object store; ``sharded`` (web-scale dup sets,
-     what ``auto`` picks above ``broadcast_limit``) spreads it over key
-     actors by ``h % n_shards`` so no process ever holds it.
+     what ``auto`` picks above ``broadcast_limit``) spreads it by
+     ``h % n_shards`` over the session's pooled key actors so no
+     process ever holds it.
 
 Determinism / oracle parity: tokens are ASCII-whitespace runs, grams
 single-space joins, hashes md5-upper-half (so equality matches string
