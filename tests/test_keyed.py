@@ -241,14 +241,36 @@ def test_keyed_state_lives_only_in_keyed_module():
     assert spawns == ["keyed.py:_pool_shards"]
 
 
+def _driver_ray_gets(node, depth=0, out=None):
+    """``ray.get(...)`` calls under ``node`` outside any nested function
+    (closures and lambdas inside a function run on workers)."""
+    out = [] if out is None else out
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.Lambda)):
+            if depth == 0:
+                _driver_ray_gets(child, 1, out)
+            continue
+        if isinstance(child, ast.Call) and ast.unparse(child.func) == "ray.get":
+            out.append(child)
+        _driver_ray_gets(child, depth, out)
+    return out
+
+
 def test_crawl_frontier_starts_no_actor():
     """The crawl keeps its state in the frontier runs: crawl/frontier.py
     defines no ``@ray.remote`` class, wraps nothing in ``ray.remote(...)``
-    at run time, and uses no actor-backed keyed state."""
+    at run time, and uses no actor-backed keyed state. The driver pulls
+    no state either: its only ``ray.get`` is the budget cutoff's tuple."""
     path = (pathlib.Path(__file__).resolve().parents[1] / "web_scraper_ray"
             / "crawl" / "frontier.py")
+    tree = ast.parse(path.read_text())
+    gets = [ast.unparse(c.args[0].func) if c.args
+            and isinstance(c.args[0], ast.Call) else ast.unparse(c)
+            for c in _driver_ray_gets(tree)]
+    assert gets == ["_budget_cutoff.remote"]
     found = []
-    for node in ast.walk(ast.parse(path.read_text())):
+    for node in ast.walk(tree):
         if isinstance(node, ast.ClassDef) and any(
                 _is_ray_remote(d) for d in node.decorator_list):
             found.append(f"remote class {node.name}")

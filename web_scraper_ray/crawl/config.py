@@ -25,13 +25,13 @@ class CrawlConfig:
     # fetch strategy: "broadcast" (admitted set into the object store
     # once, vectorized lookup per corpus batch), "bucketed"
     # (partitioned hash join, the 10^10-frontier path; frontier.py
-    # docstring), or "live" (NO corpus join — the admitted frontier
-    # feeds an actor-pool fetcher directly; run_crawl's fetcher_cls /
-    # rate_limiter choose the fetcher and bind per-host politeness)
-    # "indexed" (sparse point-lookup: hash-sorted corpus layout +
-    # row-group range index, sources/hashindex.py — reads only the
-    # row groups containing admitted urls; right for rounds that are
-    # small relative to the corpus)
+    # docstring), "indexed" (sparse point-lookup: hash-sorted corpus
+    # layout + row-group range index, sources/hashindex.py — reads only
+    # the row groups containing admitted urls; right for rounds that
+    # are small relative to the corpus), or "live" (NO corpus join —
+    # the admitted frontier feeds an actor-pool fetcher directly;
+    # run_crawl's fetcher_cls / rate_limiter choose the fetcher and
+    # bind per-host politeness)
     fetch_join: str = "broadcast"
     # indexed mode: where the hash-sorted layout lives (default: a
     # pages_hidx sibling of the pages dir; built once, stamp-cached)
@@ -46,10 +46,6 @@ class CrawlConfig:
     # hosts (the blocking wave loop it replaces slept the whole actor).
     # Ignored without a rate_limiter (nothing to defer on).
     live_requeue: bool = False
-    # politeness ranking: "fused" (vt inside the admission bucket task —
-    # one host's candidates fit one task) or "ranked" (range-partitioned
-    # two-pass rank; hosts may span blocks — the giant-host path)
-    politeness_mode: str = "fused"
     # URL pre-fetch quality gate (ops/urlgate.py — RefinedWeb §3.1):
     # kwargs for url_gate_frame (blocked_hosts / banned_tokens /
     # max_len / max_depth / max_digit_pct), applied to every CANDIDATE

@@ -64,8 +64,10 @@ never materializes a round in one process and holds scalars only —
 frontier row counts come from parquet FOOTER METADATA; budget
 truncation is a distributed ``sort(ORDER_KEYS).limit(K)`` whose cutoff
 a Ray task computes; the frontier's (priority, vt, pvt, pli) ride the
-fetch-join as COLUMNS into discovery (no url→meta dict). Only the
-opt-in ``politeness_mode="ranked"`` folds a per-host bases dict.
+fetch-join as COLUMNS into discovery (no url→meta dict); per-host
+politeness bases are read inside the bucket tasks, never on the driver.
+The only driver ``ray.get`` is the budget cutoff (tests/test_keyed.py
+guards this).
 
 Scale notes (10^10 frontier, SURVEY.md §7):
 * The fetch-join is pluggable (CrawlConfig.fetch_join): ``broadcast``
@@ -85,10 +87,13 @@ Scale notes (10^10 frontier, SURVEY.md §7):
   In a live deployment the corpus scan is replaced by an actor-pool
   HTTP fetcher and no join exists at all.
 * Hot hosts serialize only their *ordering* (a vectorized per-host
-  cumcount inside the bucket task), not their fetches; a host with k
-  candidates costs O(k log k) in one task — salt ``host#chunk`` for
-  queue storage and keep a single budget key if a host ever exceeds one
-  task's memory.
+  cumcount inside the bucket task), not their fetches. Admission has
+  one path: every candidate of a host lands in its bucket's task, so a
+  host with k candidates costs O(k log k) in ONE task and the bound is
+  that task's memory (a host whose seeds span many read blocks is
+  checked against the model by test_giant_host_spanning_blocks). Past
+  that bound, salt ``host#chunk`` for queue storage and keep a single
+  budget key.
 """
 
 from __future__ import annotations
@@ -370,15 +375,35 @@ def _write_run(df: pd.DataFrame, ckpt: str, k: int, b: int) -> pd.DataFrame:
     return pd.DataFrame({"n": [len(df)]})
 
 
+def _apply_url_gate(cands: ray.data.Dataset,
+                    gate_kwargs: dict) -> ray.data.Dataset:
+    """CrawlConfig.url_gate: one stateless vectorized verdict pass
+    (ops/urlgate.py) over the CANDIDATE stream — before the admission
+    shuffle, the seen set, and the fetch, so a dropped url costs one
+    string scan and nothing downstream (the RefinedWeb pre-fetch
+    position, the highest-leverage place to filter). Candidate columns
+    ride through unchanged; only the keep mask is applied."""
+    from ..ops.urlgate import url_gate_frame
+
+    def gate(df: pd.DataFrame) -> pd.DataFrame:
+        verdict = url_gate_frame(df[["url"]].copy(), **gate_kwargs)
+        return df.loc[verdict["kept"].to_numpy() == 1]
+
+    return cands.map_batches(gate, batch_format="pandas")
+
+
 def _admit(cands: ray.data.Dataset, ckpt: str, k: int, cutoffs: dict,
-           robots_ref, assign_vt: bool = True) -> ray.data.Dataset:
-    """ONE shuffle: host-bucket groupby fusing in-round dedup, the seen
-    anti-join against the bucket's runs of rounds < ``k``, per-host
-    virtual-time assignment and the write of the bucket's run of
-    frontier ``k`` (see module doc); yields one row count per bucket.
-    With ``assign_vt=False`` it yields the screened rows instead (the
-    ranked politeness mode assigns vt and writes afterwards,
-    ranked_politeness.py)."""
+           robots_ref, config: CrawlConfig) -> ray.data.Dataset:
+    """Admit candidates into frontier ``k``'s runs in ONE shuffle: a
+    host-bucket groupby fusing in-round dedup, the seen anti-join
+    against the bucket's runs of rounds < ``k``, per-host virtual-time
+    assignment and the write of the bucket's run of frontier ``k`` (see
+    module doc); yields one row count per bucket. The optional URL
+    pre-fetch gate runs first — both discovery sites (seeds, link
+    expansion) feed through here, so the gate screens every candidate
+    exactly once."""
+    if config.url_gate is not None:
+        cands = _apply_url_gate(cands, config.url_gate)
     cands = cands.map_batches(_precombine, batch_format="pandas")
 
     def bucket_admit(g: pd.DataFrame) -> pd.DataFrame:
@@ -402,8 +427,6 @@ def _admit(cands: ray.data.Dataset, ckpt: str, k: int, cutoffs: dict,
         dup = np.zeros(len(urls), dtype=bool)
         dup[qi[seen[pos] == urls[qi]]] = True
         g = g.loc[~dup]
-        if not assign_vt:
-            return g[["url", "host", "priority", "pvt", "pli", "bucket"]]
 
         # 3. politeness: k-th candidate of host (ordered by priority,
         #    pvt, pli, url) gets vt = (base + k) * delay (model.py step 1),
@@ -421,63 +444,12 @@ def _admit(cands: ray.data.Dataset, ckpt: str, k: int, cutoffs: dict,
 
 
 @ray.remote(num_cpus=0)
-def _ranked_bases(ckpt: str, k: int, cutoffs: dict) -> dict:
-    """Per-host politeness bases of frontier ``k`` for the ranked mode,
-    read off all runs of rounds < ``k`` (#hosts entries)."""
-    runs = [(j, f) for j in range(k) for f in _parquet_files(_frontier_dir(ckpt, j))]
-    _, admitted = _read_runs(runs, cutoffs)
-    return {h: int(c) for h, c in admitted.items()}
-
-
-@ray.remote(num_cpus=0)
 def _budget_cutoff(files: list) -> list:
     """ORDER_KEYS tuple of the last row a budget admitted: the maximum
     of the truncated round's admitted rows (url makes it a total order)."""
     t = pq.read_table(files, columns=ORDER_KEYS)
     t = t.sort_by([(c, "descending") for c in ORDER_KEYS]).slice(0, 1)
     return [t[c][0].as_py() for c in ORDER_KEYS]
-
-
-def _apply_url_gate(cands: ray.data.Dataset,
-                    gate_kwargs: dict) -> ray.data.Dataset:
-    """CrawlConfig.url_gate: one stateless vectorized verdict pass
-    (ops/urlgate.py) over the CANDIDATE stream — before the admission
-    shuffle, the seen set, and the fetch, so a dropped url costs one
-    string scan and nothing downstream (the RefinedWeb pre-fetch
-    position, the highest-leverage place to filter). Candidate columns
-    ride through unchanged; only the keep mask is applied."""
-    from ..ops.urlgate import url_gate_frame
-
-    def gate(df: pd.DataFrame) -> pd.DataFrame:
-        verdict = url_gate_frame(df[["url"]].copy(), **gate_kwargs)
-        return df.loc[verdict["kept"].to_numpy() == 1]
-
-    return cands.map_batches(gate, batch_format="pandas")
-
-
-def _admit_with_mode(cands: ray.data.Dataset, ckpt: str, k: int, cutoffs: dict,
-                     robots_ref, robots: RobotsRules,
-                     config: CrawlConfig) -> ray.data.Dataset:
-    """Admit candidates into frontier ``k``'s runs, dispatching between
-    the fused bucket politeness (default; one host = one vectorized
-    task) and the range-partitioned two-pass rank (politeness_mode=
-    'ranked' — hosts may span blocks; the giant-host path,
-    ranked_politeness.py), which writes through the same per-bucket run
-    writer. The optional URL pre-fetch gate runs first — both discovery
-    sites (seeds, link expansion) feed through here, so the gate screens
-    every candidate exactly once."""
-    if config.url_gate is not None:
-        cands = _apply_url_gate(cands, config.url_gate)
-    if config.politeness_mode == "ranked":
-        from .ranked_politeness import assign_virtual_time_ranked
-
-        screened = _admit(cands, ckpt, k, cutoffs, robots_ref, assign_vt=False)
-        bases = ray.get(_ranked_bases.remote(ckpt, k, cutoffs))
-        ranked = assign_virtual_time_ranked(screened, bases, robots, drop_cols=())
-        return ranked.groupby("bucket").map_groups(
-            lambda g: _write_run(g, ckpt, k, int(g["bucket"].iloc[0])),
-            batch_format="pandas")
-    return _admit(cands, ckpt, k, cutoffs, robots_ref)
 
 
 # --------------------------------------------------------------------------
@@ -689,7 +661,7 @@ def _fetch_and_extract(
     (META_COLUMNS) rides the join output as columns so extraction and
     discovery need no side-channel lookup.
 
-    Two join strategies (CrawlConfig.fetch_join):
+    Four join strategies (CrawlConfig.fetch_join):
 
     * ``broadcast`` (default): a Ray task loads the admitted table into
       the object store once; each fetch task does one vectorized
@@ -701,6 +673,13 @@ def _fetch_and_extract(
       inside each group. The admitted set never lives in one process;
       cost is an all-to-all of the corpus scan, which is why broadcast
       is preferred until the frontier outgrows a node.
+    * ``indexed``: the sparse regime — a hash-sorted corpus layout with
+      a row-group range index (sources/hashindex.py) lets the round
+      read only the row groups holding admitted urls; the broadcast
+      lookup then filters them.
+    * ``live``: no corpus join — the admitted frontier feeds an
+      actor-pool fetcher (``fetcher_cls``, optionally behind
+      ``rate_limiter``) directly.
 
     The round output parquet is written INSIDE the pipeline (one file
     per extracted batch, content-derived idempotent names, so task
@@ -967,8 +946,7 @@ def run_crawl(
         # Round 0 discovery: seeds → fused admit → frontier_0 runs
         cands = _seed_candidates(seeds_path, robots_ref, config, n_buckets)
         _reset_dir(_frontier_dir(checkpoint_dir, 0))  # crashed-attempt leftovers
-        _admit_with_mode(cands, checkpoint_dir, 0, cutoffs, robots_ref,
-                         robots, config).count()
+        _admit(cands, checkpoint_dir, 0, cutoffs, robots_ref, config).count()
 
     for r in range(start_round, config.max_depth + 1):
         if pages_budget is not None and pages_budget <= 0:
@@ -1010,8 +988,8 @@ def run_crawl(
             cands = _link_candidates(out_slim, robots_ref, config, n_buckets)
             ndir = _frontier_dir(checkpoint_dir, r + 1)
             _reset_dir(ndir)  # crashed-attempt leftovers
-            _admit_with_mode(cands, checkpoint_dir, r + 1, cutoffs, robots_ref,
-                             robots, config).count()
+            _admit(cands, checkpoint_dir, r + 1, cutoffs, robots_ref,
+                   config).count()
             n_next = _dir_num_rows(ndir)
         else:
             # no expansion: consume the pipeline to drive the writes

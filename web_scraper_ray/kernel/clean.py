@@ -65,18 +65,6 @@ def _remove_boilerplate(doc: Node) -> None:
         element.decompose()
 
 
-def _remove_comments(doc: Node) -> None:
-    for node in doc.find_all(string=True):
-        if isinstance(node, CommentNode):
-            node.extract()
-
-
-def _prune_attrs(doc: Node) -> None:
-    for tag in doc.find_all(True):
-        if tag.attrs:
-            tag.attrs = {k: v for k, v in tag.attrs.items() if k in ALLOWED_ATTRS}
-
-
 def deduplicate_list_items(doc: Node) -> None:
     """Two-phase ``<li>`` dedup on ``get_text(strip=True)``, first
     occurrence in document order wins (``scraper.py:345-363``)."""

@@ -114,8 +114,8 @@ def _init_state(k: int, emb_col: str, *blocks):
 @ray.remote
 def _fold_state(state, *blocks):
     """Reduce one iteration's k x n_blocks combiner partials into the
-    next (sums, counts) — a Ray task (the _fold_offsets pattern,
-    crawl/ranked_politeness.py), so per-iteration partials never land
+    next (sums, counts) — a Ray task (the ops/graph.py
+    _fold_node_table pattern), so per-iteration partials never land
     on the driver. Clusters no point chose keep their previous state."""
     sums, cnts = state
     parts = pd.concat(_frames(blocks), ignore_index=True)

@@ -108,14 +108,6 @@ def quantized_topk(
     return local.sort(["qscore", id_col], descending=[True, False]).limit(k)
 
 
-def ivf_assign(mat: np.ndarray, dim: int, n_lists: int, seed: int = 13) -> np.ndarray:
-    """Coarse list assignment: argmax over seeded random projections —
-    a deterministic, training-free stand-in for k-means centroids."""
-    rng = np.random.RandomState(seed)
-    proj = rng.standard_normal((dim, n_lists))
-    return np.argmax(_unit(mat) @ proj, axis=1)
-
-
 def ivf_topk(
     ds: ray.data.Dataset,
     query_vec: np.ndarray,
