@@ -1,6 +1,43 @@
 """DOM layer unit tests (web_scraper_ray/dom.py)."""
 
-from web_scraper_ray.dom import CommentNode, Node, TextNode, parse
+import glob
+import json
+import os
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from web_scraper_ray.dom import CommentNode, Node, TextNode, _scan, _TreeBuilder, parse
+
+FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
+
+
+def node_stream(root):
+    """Preorder (kind, name, attr items in order, text) tuples, with a
+    close marker per element, so equal streams mean equal trees."""
+    out = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            out.append(("close", node))
+        elif isinstance(node, CommentNode):
+            out.append(("comment", node.text))
+        elif isinstance(node, TextNode):
+            out.append(("text", node.text))
+        else:
+            out.append(("open", node.name, tuple(node.attrs.items())))
+            stack.append(node.name)
+            stack.extend(reversed(node.children))
+    return out
+
+
+def reference_tree(html):
+    builder = _TreeBuilder()
+    builder.feed(html)
+    builder.close()
+    return builder.root
 
 
 def test_parse_basic_tree():
@@ -104,3 +141,86 @@ def test_valueless_attrs_normalize_to_empty_string():
     from web_scraper_ray.kernel.markdown import html_to_markdown
 
     assert "[click]()" in html_to_markdown("<body><p>x</p><a href>click</a></body>")
+
+
+def test_text_replace_with_detaches_the_old_node():
+    doc = parse("<p>old<b>x</b></p>")
+    old = doc.find("p").children[0]
+    old.replace_with("new")
+    assert old.parent is None
+    assert old.extract() is old  # detached: a no-op, not a ValueError
+    assert doc.find("p").get_text() == "newx"
+
+
+# -- the fast scanner and its html.parser fallback -----------------------
+
+SOUP = [
+    "<", ">", "/", "=", '"', "'", " ", "\n", "\r\n", "\t", "\x0b", "\xa0", "-",
+    "text", "a", "B", "é", "\x00", "&", "&amp;", "&copy", "&#x110000;", "&#1;",
+    "&lt", ";", "<a", "<A", "<a>", "</a>", "</A>", "<b>", "</b>", "<I>", "</i>",
+    "<p>", "</p>", "<DIV", "</div>", "<br>", "</br>", "<br/>", "<img src=x>",
+    "<x-y>", "</x-y>", "<script>",
+    "</script>", "<SCRIPT>", "<script/>", "<style>", "</STYLE>", "</style>",
+    "<!--", "-->", "--!>", "<!--->", "<!-->", "<!", "<?php ?>", "<?",
+    "<!DOCTYPE html>", "<!doctype", " b", " b=c", " b=c/", ' b="v"', " b='v w'",
+    " B=x", " b=&amp;", " c d", "/>", "<a b=c/>", "</ p>", "</>",
+]
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from(SOUP), max_size=24).map("".join))
+def test_parse_equals_tree_builder_on_tag_soup(html):
+    """Whichever path ran, parse builds html.parser's tree."""
+    assert node_stream(parse(html)) == node_stream(reference_tree(html))
+
+
+@pytest.mark.parametrize("html,fast", [
+    ("<DIV Class=A>x</DIV>y", True),
+    ("<a><b><i>x</a>y</b>z", True),
+    ("<STYLE>p{}</style>", True),
+    ("<a b=c />", True),
+    ("<a href=http://x/ >t</a>", True),
+    ('<a b=1 b=2 c B=3>', True),
+    ("<p\r\nclass='a'\n>x\r\n</p>", True),
+    ("x &copy &#x110000; &#1;", True),
+    ("</br><x-y>z</x-y><script/>x", True),
+    ("<!DOCTYPE html><!-- c -- d --><p>", True),
+    ("<a b=c/>", False),
+    ("a < b", False),
+    ("<?php ?>", False),
+    ("<!x>", False),
+    ("<!--->", False),
+    ("<!--a--!>b-->", False),
+    ("<div", False),
+    ("<!-- open", False),
+    ("<script>a</div></script>", False),
+    ("<script>x", False),
+])
+def test_scan_subset_boundary(html, fast):
+    assert (_scan(html) is not None) == fast
+    assert node_stream(parse(html)) == node_stream(reference_tree(html))
+
+
+def test_corpus_and_fixture_pages_take_the_fast_path():
+    """The speedup must not silently move to the fallback: every golden
+    fixture, its committed content_html (what the htmlfmt, xmlfmt and
+    markdown renderers re-parse) and every page of a small synthetic
+    corpus stay inside the scanner's subset."""
+    from web_scraper_ray.corpus import build_page_rows
+    from web_scraper_ray.kernel.extract import extract_page
+
+    docs = []
+    for path in sorted(glob.glob(f"{FIXTURE_DIR}/*.html")):
+        with open(path, encoding="utf-8") as f:
+            docs.append(f.read())
+        with open(path[:-5] + ".json", encoding="utf-8") as f:
+            docs.append(json.load(f)["content_html"])
+    rows = build_page_rows(seed=11, lo=0, hi=40, n_pages=40, n_hosts=5)
+    for raw in rows["html"].to_pylist():
+        html = raw.decode("utf-8")
+        docs += [html, extract_page(html, "https://c.example/")["content_html"]]
+    assert len(docs) == 90
+    for html in docs:
+        tree = _scan(html)
+        assert tree is not None, html[:200]
+        assert node_stream(tree) == node_stream(reference_tree(html))

@@ -6,7 +6,10 @@ import pyarrow as pa
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from web_scraper_ray.dom import parse
 from web_scraper_ray.kernel.extract import extract_page
+
+from test_dom import node_stream, reference_tree
 
 
 @settings(max_examples=150, deadline=None)
@@ -36,10 +39,14 @@ def test_extract_page_html_ish_garbage():
         "\x00\x01 control <b>chars</b>",
         "<script>alert('<div>')</script><p>after</p>",
         "<html><body><main>" + "ok " * 10,
+        "<div>" * 100_000,     # deeper than any recursion limit
     ]
     for html in nasties:
         rec = extract_page(html, "https://n.example/")
         assert isinstance(rec["text"], str)
+        tree = parse(html)
+        assert node_stream(tree) == node_stream(reference_tree(html))
+        assert tree.serialize()
 
 
 def test_extract_batch_contains_per_row_failures(ray_session, monkeypatch):

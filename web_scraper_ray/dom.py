@@ -1,10 +1,11 @@
-"""Minimal DOM on stdlib ``html.parser`` with BeautifulSoup-compatible
-semantics for the subset of operations the extraction kernel needs.
+"""Minimal DOM with BeautifulSoup-compatible semantics for the subset of
+operations the extraction kernel needs.
 
 The reference (``contxt``) uses ``BeautifulSoup(html, "html.parser")``
 throughout (``contxt/scraper.py:274``, ``contxt/formatters/markdown_formatter.py:95``).
 bs4 is not available in this environment, so this module reimplements the
-needed tree model directly on :class:`html.parser.HTMLParser`:
+needed tree model, with the tree :class:`html.parser.HTMLParser` yields
+under bs4's tree-building rules:
 
 * ``Node`` — an element with ``name``, ``attrs`` (dict), ``children``.
 * ``TextNode`` / ``CommentNode`` — leaves; like bs4's ``NavigableString``
@@ -21,6 +22,17 @@ needed tree model directly on :class:`html.parser.HTMLParser`:
   (``contxt/scraper.py:365-405``).
 * ``serialize()`` ≈ ``str(soup)`` with bs4's "minimal" entity escaping.
 
+Parsing: :func:`parse` first runs a single compiled-``re`` scanner
+(``_scan``) that builds the tree directly. It covers a verified subset of
+the grammar: start, end and self-closing tags with quoted, unquoted or
+valueless attributes; text; comments; ``<!DOCTYPE>``; and script/style
+raw content up to a plain ``</script>``/``</style>``. Any page with
+anything else in it (a stray ``<``, ``<?``, a bogus ``<!``, an
+unterminated tag or comment, ``</`` inside script/style, an unquoted
+attribute value touching ``/>``) is parsed whole by ``_TreeBuilder`` on
+html.parser instead, so the tree never depends on which path ran;
+tests/test_dom.py checks the two agree on fuzzed tag soup.
+
 Entity handling: ``convert_charrefs=True`` (the html.parser default, and
 what bs4's html.parser tree builder uses) — character references decode
 to text at parse time and re-escape minimally at serialization.
@@ -28,6 +40,8 @@ to text at parse time and re-escape minimally at serialization.
 
 from __future__ import annotations
 
+import re
+from html import unescape
 from html.parser import HTMLParser
 from typing import Iterator, Optional, Union
 
@@ -68,6 +82,7 @@ class TextNode:
         idx = self.parent.children.index(self)
         replacement.parent = self.parent
         self.parent.children[idx] = replacement
+        self.parent = None
 
     def extract(self) -> "TextNode":
         if self.parent is not None:
@@ -349,7 +364,7 @@ def _serialize_into(node: AnyNode, out: list[str], root: bool = False) -> None:
 def merge_adjacent_text(node: Node) -> None:
     """Normalize a tree to its serialize→parse fixed point, in place.
 
-    For trees this parser produced (lowercase names, decoded entities)
+    For trees :func:`parse` produced (lowercase names, decoded entities)
     with no script/style CDATA content, re-parsing the serialization
     changes exactly two things: runs of adjacent plain text nodes merge
     into one, and empty text nodes disappear (``handle_data`` skips
@@ -388,7 +403,10 @@ class _TreeBuilder(HTMLParser):
     constructs the kernel/corpus use: void elements never take children;
     an unmatched end tag is ignored; a mismatched end tag pops up to the
     nearest matching open element (html.parser itself does no implicit
-    closes, and neither does bs4 on this builder)."""
+    closes, and neither does bs4 on this builder).
+
+    The reference parser: :func:`parse` runs it only for pages the fast
+    scanner does not cover."""
 
     def __init__(self) -> None:
         super().__init__(convert_charrefs=True)
@@ -437,9 +455,115 @@ class _TreeBuilder(HTMLParser):
         pass
 
 
+# -- the fast scanner ---------------------------------------------------
+# One compiled pattern tokenizes a whole page with ``findall``; the loop
+# in :func:`_scan` builds the tree from the tuples. Each construct is a
+# strict subset of what html.parser accepts, written so that html.parser
+# reads it the same way; every other ``<`` lands in the ``stray`` group
+# and the page goes to ``_TreeBuilder``.
+_SP = r"[ \t\n\r\f]"
+_ATTR_NAME = r"[^\s\"'<>/=]+"
+#: one attribute (name, double-, single- and unquoted value) of a start
+#: tag the token pattern has already accepted
+_ATTR = re.compile(
+    rf"{_SP}+({_ATTR_NAME})"
+    rf"(?:{_SP}*={_SP}*(?:\"([^\"]*)\"|'([^']*)'|([^\s\"'<>=]+)))?"
+)
+# An unquoted value must end at whitespace, or at a ``>`` it does not
+# touch with a ``/``: html.parser reads ``<a b=c/>`` as b="c/" on an
+# open tag, a form left to the fallback.
+_ATTRS = (
+    rf"(?:{_SP}+{_ATTR_NAME}(?:{_SP}*={_SP}*(?:\"[^\"]*\"|'[^']*'"
+    rf"|[^\s\"'<>=]+(?=[ \t\n\r\f]|(?<!/)>)))?)*"
+)
+_TOKEN = re.compile(
+    # 1 text up to the next ``<``
+    r"([^<]*)(?:"
+    # 2-5 script/style: name, attributes, raw content up to the first
+    # ``</``, and the name in that end tag if it is a plain one
+    r"<([sS][cC][rR][iI][pP][tT]|[sS][tT][yY][lL][eE])"
+    rf"({_ATTRS}){_SP}*>([^<]*(?:<(?!/)[^<]*)*)(?:</([a-zA-Z]+)>)?"
+    # 6-8 start tag: name, attributes, "/" if self-closing
+    rf"|<([a-zA-Z][-.:\w]*)({_ATTRS}){_SP}*(/?)>"
+    # 9 end tag
+    rf"|</([a-zA-Z][-.a-zA-Z0-9:_]*){_SP}*>"
+    # 10 comment ending at the first ``--\s*>``, which must be ``-->``;
+    # ``<!-->``, ``<!--->`` and a body holding ``--!>`` are left out
+    r"|(<!--(?!-?>)[^-]*(?:-(?!-\s*>|-!>)[^-]*)*-->)"
+    # doctype (dropped, like ``_TreeBuilder.handle_decl``)
+    r"|<![dD][oO][cC][tT][yY][pP][eE][^<>]*>"
+    # 11 any other ``<``: out of the subset
+    r"|(<)"
+    r"|\Z)"
+)
+
+
+def _attr_dict(text: str) -> dict:
+    attrs = {}
+    for name, dq, sq, uq in _ATTR.findall(text):
+        value = dq or sq or uq  # valueless -> "" as in _TreeBuilder
+        attrs[name.lower()] = unescape(value) if "&" in value else value
+    return attrs
+
+
+def _scan(html: str) -> Optional[Node]:
+    """The tree ``_TreeBuilder`` builds for ``html``, or ``None`` when
+    the page leaves the scanner's subset (the caller then falls back).
+    Iterative: nesting depth is unbounded."""
+    root = Node(ROOT_NAME)
+    stack = [root]
+    top = root
+    kids = root.children
+    for (text, sname, sattrs, raw, sclose, name, attrs, slash, ename,
+         comment, stray) in _TOKEN.findall(html):
+        if text:
+            if "&" in text:
+                text = unescape(text)  # may decode to "" (e.g. &#1;)
+            if text:
+                kids.append(TextNode(text, top))
+        if name:
+            name = name.lower()
+            node = Node(name, _attr_dict(attrs) if attrs else None, top)
+            kids.append(node)
+            if not slash and name not in VOID_ELEMENTS:
+                stack.append(node)
+                top = node
+                kids = node.children
+        elif ename:
+            ename = ename.lower()
+            if ename == top.name:
+                stack.pop()
+                top = stack[-1]
+                kids = top.children
+            elif ename not in VOID_ELEMENTS:
+                # pop up to the nearest open match; unmatched: ignored
+                for i in range(len(stack) - 2, 0, -1):
+                    if stack[i].name == ename:
+                        del stack[i:]
+                        top = stack[-1]
+                        kids = top.children
+                        break
+        elif sname:
+            sname = sname.lower()
+            if sclose.lower() != sname:
+                return None  # unterminated, or another "</" inside
+            node = Node(sname, _attr_dict(sattrs) if sattrs else None, top)
+            kids.append(node)
+            if raw:
+                node.children.append(TextNode(raw, node))
+        elif comment:
+            kids.append(CommentNode(comment[4:-3], top))
+        elif stray:
+            return None
+    return root
+
+
 def parse(html: str) -> Node:
     """Parse HTML into a document root node (name ``[document]``)."""
-    builder = _TreeBuilder()
-    builder.feed(html)
-    builder.close()
-    return builder.root
+    root = _scan(html)
+    if root is None:
+        builder = _TreeBuilder()
+        builder.feed(html)
+        builder.close()
+        root = builder.root
+    return root
