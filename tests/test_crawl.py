@@ -148,8 +148,10 @@ def test_engine_resume_in_live_mode(ray_session, small_corpus, tmp_path_factory,
     dst = str(tmp_path_factory.mktemp("ckpt_resume_live"))
     _copy_round0(src, dst)
 
+    from web_scraper_ray.stages.fetch import CorpusFetcher
+
     cfg_live = CrawlConfig(max_depth=CFG.max_depth, seen_shards=CFG.seen_shards,
-                           fetch_join="live", fetch_concurrency=2)
+                           fetch_concurrency=2)
     res2 = run_crawl(
         f"{small_corpus}/pages",
         f"{small_corpus}/seeds.parquet",
@@ -157,6 +159,8 @@ def test_engine_resume_in_live_mode(ray_session, small_corpus, tmp_path_factory,
         robots_path=f"{small_corpus}/robots.parquet",
         config=cfg_live,
         resume=True,
+        fetcher_cls=CorpusFetcher,
+        fetcher_kwargs={"pages_path": f"{small_corpus}/pages"},
     )
     order2 = load_crawl_order(dst)
     assert list(zip(order2["round"], order2["url"], order2["vt"])) == list(
@@ -331,19 +335,36 @@ def test_crawl_order_ds_matches_dataframe(engine_result):
     assert list(got["round"]) == list(order_df["round"])
 
 
-def test_bucketed_fetch_join_parity(ray_session, small_corpus, tmp_path_factory,
-                                    engine_result, model_result):
-    """The bucketed merge fetch-join (the 10^10-scale path) produces the
-    identical crawl to the default broadcast join."""
+def _range_join_crawl(small_corpus, ckpt, idx_dir):
     from web_scraper_ray.crawl.frontier import load_crawl_order, run_crawl
 
-    cfg = CrawlConfig(max_depth=2, seen_shards=4, fetch_join="bucketed")
-    ckpt = str(tmp_path_factory.mktemp("ckpt_bucketed"))
+    cfg = CrawlConfig(max_depth=2, seen_shards=4, index_dir=idx_dir)
     res = run_crawl(
         f"{small_corpus}/pages", f"{small_corpus}/seeds.parquet", ckpt,
         robots_path=f"{small_corpus}/robots.parquet", config=cfg,
     )
-    order = load_crawl_order(ckpt)
+    (layout,) = os.listdir(idx_dir)
+    return res, load_crawl_order(ckpt), os.path.join(idx_dir, layout)
+
+
+def test_range_fetch_join_one_group_per_file(ray_session, small_corpus,
+                                             tmp_path_factory, engine_result,
+                                             model_result):
+    """The range fetch-join over a layout whose files each hold one row
+    group (the benchmark corpus shape) produces the model's crawl."""
+    import glob
+
+    import pyarrow.parquet as pq
+
+    from web_scraper_ray.crawl.frontier import _hash_ranges
+
+    res, order, layout = _range_join_crawl(
+        small_corpus, str(tmp_path_factory.mktemp("ckpt_one_group")),
+        str(tmp_path_factory.mktemp("hidx_one_group")))
+    files = glob.glob(f"{layout}/data/*.parquet")
+    assert len(files) > 1
+    assert all(pq.ParquetFile(f).metadata.num_row_groups == 1 for f in files)
+    assert len(_hash_ranges(layout)) > 1
     _, order_bc = engine_result
     assert list(zip(order["round"], order["url"], order["vt"])) == list(
         zip(order_bc["round"], order_bc["url"], order_bc["vt"])
@@ -351,28 +372,104 @@ def test_bucketed_fetch_join_parity(ray_session, small_corpus, tmp_path_factory,
     assert res.seen.snapshot() == model_result[1]
 
 
-def test_indexed_fetch_join_parity(ray_session, small_corpus,
-                                   tmp_path_factory, engine_result,
-                                   model_result):
-    """fetch_join="indexed" (hash-sorted layout + row-group range
-    index; the sparse point-lookup regime) produces the identical
-    crawl to the broadcast scan mode."""
-    from web_scraper_ray.crawl.frontier import load_crawl_order, run_crawl
+def test_range_fetch_join_many_ranges(ray_session, small_corpus,
+                                      tmp_path_factory, monkeypatch,
+                                      engine_result, model_result):
+    """With 16-row layout row groups some files hold several groups and
+    the join runs as 2×CPU ranges: still the model's crawl."""
+    import pyarrow.parquet as pq
 
-    idx_dir = str(tmp_path_factory.mktemp("hidx"))
-    cfg = CrawlConfig(max_depth=2, seen_shards=4, fetch_join="indexed",
-                      index_dir=idx_dir)
-    ckpt = str(tmp_path_factory.mktemp("ckpt_indexed"))
-    res = run_crawl(
-        f"{small_corpus}/pages", f"{small_corpus}/seeds.parquet", ckpt,
-        robots_path=f"{small_corpus}/robots.parquet", config=cfg,
-    )
-    order = load_crawl_order(ckpt)
+    from web_scraper_ray.crawl import frontier
+
+    monkeypatch.setattr(frontier, "LAYOUT_GROUP_ROWS", 16)
+    res, order, layout = _range_join_crawl(
+        small_corpus, str(tmp_path_factory.mktemp("ckpt_many_ranges")),
+        str(tmp_path_factory.mktemp("hidx_many_ranges")))
+    idx = pq.read_table(f"{layout}/index.parquet")
+    assert max(idx["n"].to_pylist()) <= 16
+    assert len(set(idx["file"].to_pylist())) < idx.num_rows
+    assert len(frontier._hash_ranges(layout)) == 2 * 4  # the session's 4 CPUs
     _, order_bc = engine_result
     assert list(zip(order["round"], order["url"], order["vt"])) == list(
         zip(order_bc["round"], order_bc["url"], order_bc["vt"])
     )
     assert res.seen.snapshot() == model_result[1]
+
+
+def test_sparse_round_reads_few_layout_groups(ray_session, small_corpus,
+                                              tmp_path, monkeypatch):
+    """A round that admits 3 urls reads strictly fewer layout row groups
+    than exist, and returns exactly the rows an exact-url filter of the
+    corpus returns, with the frontier's META_COLUMNS attached."""
+    import pandas as pd
+    import pyarrow.parquet as pq
+
+    from web_scraper_ray.crawl import frontier
+    from web_scraper_ray.sources.hashindex import build_hash_index
+
+    layout = build_hash_index(f"{small_corpus}/pages", "url", str(tmp_path / "hidx"),
+                              columns=["url", "html"], rows_per_group=16)
+    pages = pq.read_table(f"{small_corpus}/pages", columns=["url", "html"]).to_pandas()
+    want = sorted(pages["url"])[5:50:20]
+    ckpt = str(tmp_path / "ckpt")
+    os.makedirs(frontier._frontier_dir(ckpt, 0))
+    adm = pd.DataFrame({"url": want, "host": [u.split("/")[2] for u in want],
+                        "priority": [0, 1, 2], "pvt": [-1.0] * 3, "pli": [7, 8, 9],
+                        "vt": [0.0, 100.0, 200.0]})
+    frontier._write_run(adm.iloc[:2], ckpt, 0, 0)  # two bucket runs
+    frontier._write_run(adm.iloc[2:], ckpt, 0, 1)
+    runs = frontier._parquet_files(frontier._frontier_dir(ckpt, 0))
+
+    read = []
+    real = pq.ParquetFile.read_row_groups
+    monkeypatch.setattr(pq.ParquetFile, "read_row_groups",
+                        lambda self, rgs, **kw: read.extend(rgs) or real(self, rgs, **kw))
+    got = pd.concat([t.to_pandas() for r in frontier._hash_ranges(layout)
+                     for t in frontier._join_range(layout, runs, None, r["lo"], r["hi"])])
+    total = pq.read_table(f"{layout}/index.parquet").num_rows
+    assert 0 < len(read) < total
+    exact = pages[pages["url"].isin(want)]
+    got = got.sort_values("url").reset_index(drop=True)
+    assert list(got["url"]) == list(exact.sort_values("url")["url"])
+    assert list(got["html"]) == list(exact.sort_values("url")["html"])
+    assert list(got["pli"]) == [7, 8, 9] and list(got["vt"]) == [0.0, 100.0, 200.0]
+    # the Ray Data path returns the same rows
+    ds = frontier._range_fetch_join(layout, runs, None).to_pandas()
+    assert sorted(ds["url"]) == sorted(want)
+
+
+def test_range_join_confirms_urls_on_hash_collisions(ray_session, small_corpus,
+                                                     tmp_path, monkeypatch):
+    """With the url hash cut to 3 bits in both the layout and the runs,
+    every admitted hash collides with many corpus rows; the url string
+    confirm still returns exactly the admitted urls' rows."""
+    import pandas as pd
+    import pyarrow.parquet as pq
+
+    from web_scraper_ray.crawl import frontier
+    from web_scraper_ray.sources import hashindex
+    from web_scraper_ray.vhash import hash64_str
+
+    def cut(v):
+        return hash64_str(v) & 7
+
+    monkeypatch.setattr(hashindex, "hash64_str", cut)
+    monkeypatch.setattr(frontier, "hash64_str", cut)
+    layout = hashindex.build_hash_index(f"{small_corpus}/pages", "url",
+                                        str(tmp_path / "hidx"),
+                                        columns=["url", "html"], rows_per_group=16)
+    assert max(pq.read_table(f"{layout}/index.parquet")["max_h"].to_pylist()) <= 7
+    pages = pq.read_table(f"{small_corpus}/pages", columns=["url"]).to_pandas()
+    want = sorted(pages["url"])[3:60:19]
+    ckpt = str(tmp_path / "ckpt")
+    os.makedirs(frontier._frontier_dir(ckpt, 0))
+    frontier._write_run(pd.DataFrame({
+        "url": want, "host": [u.split("/")[2] for u in want], "priority": 0,
+        "pvt": -1.0, "pli": range(len(want)), "vt": 0.0}), ckpt, 0, 0)
+    got = frontier._range_fetch_join(
+        layout, frontier._parquet_files(frontier._frontier_dir(ckpt, 0)), None).to_pandas()
+    assert sorted(got["url"]) == want
+    assert list(got.sort_values("url")["pli"]) == list(range(len(want)))
 
 
 def test_hash_index_prunes_row_groups(ray_session, small_corpus, tmp_path):
@@ -406,34 +503,48 @@ def test_hash_index_prunes_row_groups(ray_session, small_corpus, tmp_path):
     assert 0 < sum(len(r["rgs"]) for r in runs) < total
     # misses return nothing
     assert hash_lookup(idx, ["http://nosuch.example/x"], "url").count() == 0
-    # a re-build is stamp-cached: the data files must be UNTOUCHED
-    # (path equality alone would also hold after a silent full rebuild)
+    # a re-build of the same source is cached: same directory, and the
+    # data files must be UNTOUCHED (path equality alone would also hold
+    # after a silent full rebuild)
     import os
-    before = {f: os.stat(os.path.join(idx, "data", f)).st_mtime_ns
-              for f in os.listdir(os.path.join(idx, "data"))}
+
+    def stamps(layout):
+        return {f: os.stat(os.path.join(layout, "data", f)).st_mtime_ns
+                for f in os.listdir(os.path.join(layout, "data"))}
+
+    before = stamps(idx)
     assert build_hash_index(f"{small_corpus}/pages", "url",
                             str(tmp_path / "hidx"), columns=["url", "html"],
                             rows_per_group=16) == idx
-    after = {f: os.stat(os.path.join(idx, "data", f)).st_mtime_ns
-             for f in os.listdir(os.path.join(idx, "data"))}
-    assert after == before
-    # and an in-place SOURCE rewrite (same names/sizes, new mtime)
-    # invalidates the stamp
+    assert stamps(idx) == before
+    # an in-place SOURCE rewrite (same names/sizes, new mtime) names a
+    # new layout, which is built, and leaves the old one untouched
     src_file = sorted(glob.glob(f"{small_corpus}/pages/*.parquet"))[0]
     os.utime(src_file)
-    assert build_hash_index(f"{small_corpus}/pages", "url",
-                            str(tmp_path / "hidx"), columns=["url", "html"],
-                            rows_per_group=16) == idx
-    rebuilt = {f: os.stat(os.path.join(idx, "data", f)).st_mtime_ns
-               for f in os.listdir(os.path.join(idx, "data"))}
-    assert rebuilt != before
+    rebuilt = build_hash_index(f"{small_corpus}/pages", "url",
+                               str(tmp_path / "hidx"), columns=["url", "html"],
+                               rows_per_group=16)
+    assert rebuilt != idx and stamps(idx) == before
+    assert min(stamps(rebuilt).values()) > max(before.values())
+    got = hash_lookup(rebuilt, want, "url", columns=["url"]).to_pandas()
+    assert sorted(got["url"]) == sorted(want)
+    # another source under the same parent gets its own layout; no tmp
+    # build directory is left behind
+    os.makedirs(tmp_path / "other")
+    pq.write_table(pq.read_table(src_file).slice(0, 50),
+                   tmp_path / "other" / os.path.basename(src_file))
+    other = build_hash_index(str(tmp_path / "other"), "url", str(tmp_path / "hidx"),
+                             columns=["url", "html"], rows_per_group=16)
+    assert len({idx, rebuilt, other}) == 3
+    assert sorted(os.listdir(tmp_path / "hidx")) == sorted(
+        os.path.basename(p) for p in (idx, rebuilt, other))
 
 
 def test_live_fetch_mode_parity(ray_session, small_corpus, tmp_path_factory,
                                 engine_result, model_result):
-    """fetch_join="live" (actor-pool fetcher, NO corpus join — the real
+    """A ``fetcher_cls`` (actor-pool fetcher, NO corpus join — the real
     deployment shape) with the deterministic corpus-backed fetcher
-    produces the identical crawl to the broadcast scan mode; a rate
+    produces the identical crawl to the corpus range join; a rate
     limiter on a virtual clock binds politeness without changing the
     crawl (vt ordering is admission-side, throttling is runtime-side)."""
     import ray
@@ -443,11 +554,11 @@ def test_live_fetch_mode_parity(ray_session, small_corpus, tmp_path_factory,
         RateLimiter, VirtualClock, clock_fns,
     )
     from web_scraper_ray.crawl.robots import RobotsRules
+    from web_scraper_ray.stages.fetch import CorpusFetcher
 
     _, order_bc = engine_result
     for with_limiter in (False, True):
-        cfg = CrawlConfig(max_depth=2, seen_shards=4, fetch_join="live",
-                          fetch_concurrency=2)
+        cfg = CrawlConfig(max_depth=2, seen_shards=4, fetch_concurrency=2)
         ckpt = str(tmp_path_factory.mktemp(f"ckpt_live_{with_limiter}"))
         limiter = sleep = None
         if with_limiter:
@@ -458,8 +569,9 @@ def test_live_fetch_mode_parity(ray_session, small_corpus, tmp_path_factory,
         res = run_crawl(
             f"{small_corpus}/pages", f"{small_corpus}/seeds.parquet", ckpt,
             robots_path=f"{small_corpus}/robots.parquet", config=cfg,
-            rate_limiter=limiter,
-            fetcher_kwargs={"sleep": sleep} if with_limiter else None,
+            rate_limiter=limiter, fetcher_cls=CorpusFetcher,
+            fetcher_kwargs=dict({"pages_path": f"{small_corpus}/pages"},
+                                **({"sleep": sleep} if with_limiter else {})),
         )
         order = load_crawl_order(ckpt)
         assert list(zip(order["round"], order["url"], order["vt"])) == list(
@@ -482,6 +594,7 @@ def test_live_requeue_mode_parity(ray_session, small_corpus, tmp_path_factory,
         RateLimiter, VirtualClock, clock_fns,
     )
     from web_scraper_ray.crawl.robots import RobotsRules
+    from web_scraper_ray.stages.fetch import CorpusFetcher
 
     _, order_bc = engine_result
     clock = ray.remote(VirtualClock).options(num_cpus=0).remote()
@@ -492,13 +605,14 @@ def test_live_requeue_mode_parity(ray_session, small_corpus, tmp_path_factory,
     delays = {h: (100 if i % 2 else 10) for i, h in enumerate(hosts)}
     rules = RobotsRules({}, delays, default_delay_ms=10)
     limiter = RateLimiter(rules, n_shards=2, burst=1, clock=now)
-    cfg = CrawlConfig(max_depth=2, seen_shards=4, fetch_join="live",
-                      fetch_concurrency=2, live_requeue=True)
+    cfg = CrawlConfig(max_depth=2, seen_shards=4, fetch_concurrency=2,
+                      live_requeue=True)
     ckpt = str(tmp_path_factory.mktemp("ckpt_live_requeue"))
     res = run_crawl(
         f"{small_corpus}/pages", f"{small_corpus}/seeds.parquet", ckpt,
         robots_path=f"{small_corpus}/robots.parquet", config=cfg,
-        rate_limiter=limiter, fetcher_kwargs={"sleep": sleep},
+        rate_limiter=limiter, fetcher_cls=CorpusFetcher,
+        fetcher_kwargs={"pages_path": f"{small_corpus}/pages", "sleep": sleep},
     )
     order = load_crawl_order(ckpt)
     assert list(zip(order["round"], order["url"], order["vt"])) == list(
@@ -636,3 +750,66 @@ def test_manifests_hold_scalars_only(engine_result):
         cutoff = m.pop("cutoff")
         assert cutoff is None or len(cutoff) == 5
         assert all(isinstance(v, (int, float)) for v in m.values()), m
+
+
+def test_seen_probe_hashes_only_candidates(tmp_path, monkeypatch):
+    """The admission probe binary-searches the candidates' hashes in the
+    runs' stored ``uh``: ``hash64_str`` sees the candidate urls and never
+    a history url. With the hash cut to 3 bits every run row collides,
+    and the string confirm still returns the exact seen mask."""
+    import numpy as np
+
+    from web_scraper_ray.crawl import frontier
+    from web_scraper_ray.vhash import hash64_str
+
+    def run_rows(urls, vt0):
+        import pandas as pd
+
+        return pd.DataFrame({"url": urls, "host": [u.split("/")[2] for u in urls],
+                             "priority": 0, "pvt": -1.0, "pli": 0,
+                             "vt": [vt0 + 100.0 * i for i in range(len(urls))]})
+
+    hist = [[f"https://a.example/{i}" for i in range(0, 40, 2)],
+            [f"https://b.example/{i}" for i in range(30)]]
+    cands = np.array(["https://a.example/4", "https://a.example/5",
+                      "https://b.example/29", "https://b.example/30",
+                      "https://c.example/0"], dtype=object)
+    for cut_hash in (False, True):
+        if cut_hash:
+            monkeypatch.setattr(frontier, "hash64_str", lambda v: hash64_str(v) & 7)
+        ckpt = str(tmp_path / f"ckpt_{cut_hash}")
+        for k, urls in enumerate(hist):
+            os.makedirs(frontier._frontier_dir(ckpt, k))
+            frontier._write_run(run_rows(urls, 0.0), ckpt, k, 3)
+        seen_calls = []
+        hashed = frontier.hash64_str
+        monkeypatch.setattr(frontier, "hash64_str",
+                            lambda v: seen_calls.append(list(v)) or hashed(v))
+        dup, bases = frontier._probe_runs(
+            cands, [(k, frontier._run_path(ckpt, k, 3)) for k in range(3)], {})
+        monkeypatch.setattr(frontier, "hash64_str", hashed)
+        assert seen_calls == [list(cands)]
+        assert list(dup) == [True, False, True, False, False]
+        assert bases.to_dict() == {"a.example": 20, "b.example": 30}
+
+
+def test_resume_from_old_run_format_fails_loudly(ray_session, small_corpus,
+                                                 tmp_path, engine_result):
+    """A checkpoint whose frontier runs have no ``uh`` column (written
+    before the hash-sorted run format) cannot resume: run_crawl raises
+    StaleCheckpointError naming the run file instead of failing inside
+    a worker."""
+    import pyarrow.parquet as pq
+
+    from web_scraper_ray.crawl.frontier import (FRONTIER_COLUMNS,
+                                                StaleCheckpointError, run_crawl)
+
+    res_full, _ = engine_result
+    _copy_round0(res_full.checkpoint_dir, str(tmp_path))
+    old = sorted(os.listdir(tmp_path / "frontier_0001"))[0]
+    path = str(tmp_path / "frontier_0001" / old)
+    pq.write_table(pq.read_table(path, columns=FRONTIER_COLUMNS), path)
+    with pytest.raises(StaleCheckpointError, match=f"{old}.*predates the hash-sorted"):
+        run_crawl(f"{small_corpus}/pages", f"{small_corpus}/seeds.parquet",
+                  str(tmp_path), robots_path=f"{small_corpus}/robots.parquet",
+                  config=CFG, resume=True)

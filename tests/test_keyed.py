@@ -261,7 +261,8 @@ def test_crawl_frontier_starts_no_actor():
     """The crawl keeps its state in the frontier runs: crawl/frontier.py
     defines no ``@ray.remote`` class, wraps nothing in ``ray.remote(...)``
     at run time, and uses no actor-backed keyed state. The driver pulls
-    no state either: its only ``ray.get`` is the budget cutoff's tuple."""
+    no state either: its only ``ray.get`` is the budget cutoff's tuple.
+    And no process holds a round's admitted set for the corpus fetch."""
     path = (pathlib.Path(__file__).resolve().parents[1] / "web_scraper_ray"
             / "crawl" / "frontier.py")
     tree = ast.parse(path.read_text())
@@ -281,3 +282,14 @@ def test_crawl_frontier_starts_no_actor():
                 "SeenSet", "SeenShard", "KeyTable"):
             found.append(f"{node.id} at line {node.lineno}")
     assert found == []
+    # the round's admitted set is never broadcast: the object-store load
+    # of the admitted table and every ray.put serve only the requeue
+    # fetch, which re-attaches the frontier metadata after the fetch
+    uses = []
+    for fn in tree.body:
+        for node in ast.walk(fn):
+            if ((isinstance(node, ast.Name) and node.id == "_load_admitted")
+                    or (isinstance(node, ast.Call)
+                        and ast.unparse(node.func) == "ray.put")):
+                uses.append(getattr(fn, "name", "<module>"))
+    assert set(uses) <= {"_live_requeue_fetch"}

@@ -22,24 +22,16 @@ class CrawlConfig:
     # seen set is its frontier runs and starts no shard actors
     seen_shards: int = 8
     respect_robots: bool = True
-    # fetch strategy: "broadcast" (admitted set into the object store
-    # once, vectorized lookup per corpus batch), "bucketed"
-    # (partitioned hash join, the 10^10-frontier path; frontier.py
-    # docstring), "indexed" (sparse point-lookup: hash-sorted corpus
-    # layout + row-group range index, sources/hashindex.py — reads only
-    # the row groups containing admitted urls; right for rounds that
-    # are small relative to the corpus), or "live" (NO corpus join —
-    # the admitted frontier feeds an actor-pool fetcher directly;
-    # run_crawl's fetcher_cls / rate_limiter choose the fetcher and
-    # bind per-host politeness)
-    fetch_join: str = "broadcast"
-    # indexed mode: where the hash-sorted layout lives (default: a
-    # pages_hidx sibling of the pages dir; built once, stamp-cached)
+    # where the fetch-join's hash-sorted corpus layout lives
+    # (sources/hashindex.py; default: a pages_hidx sibling of the pages
+    # dir). Built once per corpus, in a directory named by the digest
+    # of the corpus files, so it is reused until the corpus changes.
     index_dir: str | None = None
-    # live mode: actor pool width and rows per fetch call
+    # run_crawl's fetcher_cls replaces the corpus join with an actor
+    # pool: its width and rows per fetch call
     fetch_concurrency: int = 4
     fetch_batch_size: int = 64
-    # live mode + rate_limiter: use the NON-BLOCKING defer/requeue loop
+    # fetcher_cls + rate_limiter: use the NON-BLOCKING defer/requeue loop
     # (stages/fetch.py:fetch_with_requeue) — throttled rows come back
     # as status='deferred' and re-enter the next admission round, so
     # one slow host never idles a pool actor or stalls co-resident

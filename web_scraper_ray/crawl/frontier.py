@@ -5,7 +5,7 @@ Implements EXACTLY the crawl semantics of the sequential spec in
 streaming Dataset rounds (SURVEY.md §3.4, §7.6). Each round is ONE
 Dataset execution with ONE all-to-all shuffle:
 
-    pages corpus scan → fetch-join against the admitted frontier
+    range fetch-join: frontier runs ⋈ hash-sorted corpus layout
       → map_batches(extract_batch)  [frontier meta riding as columns]
       → in-pipeline output_r parquet write (idempotent per-batch files)
       → flat_map link candidates (validity / ignore / robots filters)
@@ -13,9 +13,9 @@ Dataset execution with ONE all-to-all shuffle:
         against the bucket's runs → virtual-time assignment → write of
         the bucket's run frontier_{r+1}/part-{b}]
 
-so extraction, the output write, discovery, and the admission shuffle
-all overlap under the streaming executor, and the corpus is scanned
-exactly once per round.
+so the fetch, extraction, the output write, discovery and the
+admission shuffle all overlap under the streaming executor, and a round
+reads each touched corpus row group once.
 
 The fusion is legal because every candidate URL of one host lands in
 that host's hash bucket (bucket = f(host), url → host is a function),
@@ -38,12 +38,14 @@ Determinism at any parallelism (SURVEY.md §4.2):
   the sort key does).
 
 Crawl state lives in the frontier runs, not in actors. Frontier k is
-one run per host bucket, ``frontier_k/part-{b:05d}.parquet``, and a url
-is seen once it is admitted into a frontier. So the admission task of
-bucket b for frontier k reads the bucket's runs of rounds < k and:
-* screens ``seen`` by probing the runs' sorted ``hash64_str`` url
-  hashes, confirming every hit against the stored url string (a 64-bit
-  collision never drops a url) — no set is resident between rounds;
+one run per host bucket, ``frontier_k/part-{b:05d}.parquet``, sorted by
+its stored ``uh = hash64_str(url)``, and a url is seen once it is
+admitted into a frontier. So the admission task of bucket b for
+frontier k reads the bucket's runs of rounds < k and:
+* screens ``seen`` by binary-searching the candidates' hashes in each
+  run's stored ``uh``, confirming every hit against the stored url
+  string (a 64-bit collision never drops a url) — history urls are
+  never re-hashed and no set is resident between rounds;
 * takes each host's politeness base as its count of admitted rows in
   those runs: all of a fully fetched round, and only the rows up to the
   manifest's ``cutoff`` (last admitted ORDER_KEYS tuple) of a round a
@@ -65,27 +67,24 @@ frontier row counts come from parquet FOOTER METADATA; budget
 truncation is a distributed ``sort(ORDER_KEYS).limit(K)`` whose cutoff
 a Ray task computes; the frontier's (priority, vt, pvt, pli) ride the
 fetch-join as COLUMNS into discovery (no url→meta dict); per-host
-politeness bases are read inside the bucket tasks, never on the driver.
+politeness bases are read inside the bucket tasks, and the robots
+rules are loaded by a Ray task, never on the driver.
 The only driver ``ray.get`` is the budget cutoff (tests/test_keyed.py
 guards this).
 
 Scale notes (10^10 frontier, SURVEY.md §7):
-* The fetch-join is pluggable (CrawlConfig.fetch_join): ``broadcast``
-  loads the round's admitted table (url + meta, no html) into the
-  object store from a Ray task — the driver never holds it — and each
-  fetch task does a vectorized ``index_in`` lookup per batch (zero
-  shuffle, right until a round outgrows one node's object store);
-  ``bucketed`` is the implemented 10^10-scale path — a partitioned
-  hash join co-locating corpus and (html-less) frontier rows by
-  ``url_hash64(url) % B`` in one groupby, so the admitted set never
-  resides in ANY single process; ``indexed`` is the SPARSE regime —
-  a hash-sorted corpus layout with a row-group range index
-  (sources/hashindex.py, built once per corpus) lets a small round
-  read only the row groups containing admitted urls instead of
-  scanning the corpus. All three produce byte-identical crawls
-  (test_bucketed_fetch_join_parity, test_indexed_fetch_join_parity).
-  In a live deployment the corpus scan is replaced by an actor-pool
-  HTTP fetcher and no join exists at all.
+* The fetch-join is one range merge-join. ``sources/hashindex.py``
+  lays the corpus out once, sorted by ``hash64_str(url)`` in small row
+  groups with a footer table of each group's [min, max] hash. The
+  driver cuts that table into ~2×CPU contiguous hash ranges and keeps
+  only their bounds. Each range is one task: it reads the round's run
+  rows whose ``uh`` falls in the range (run row-group statistics prune
+  the rest), then only the layout row groups that some admitted
+  ``uh`` touches, and keeps the corpus rows whose url string equals an
+  admitted url. A sparse round reads few row groups; a dense one reads
+  each once. No process holds the admitted set and no html shuffles.
+  With ``fetcher_cls`` an actor-pool fetcher replaces the join (the
+  live deployment shape).
 * Hot hosts serialize only their *ordering* (a vectorized per-host
   cumcount inside the bucket task), not their fetches. Admission has
   one path: every candidate of a host lands in its bucket's task, so a
@@ -121,6 +120,7 @@ from ..functions.urls import (
     url_hash64,
 )
 from ..ops.keyed import lookup_sorted
+from ..sources.hashindex import build_hash_index, touched_groups
 from ..stages.extract_stage import extract_batch
 from ..vhash import hash64_str
 from .config import CrawlConfig
@@ -146,9 +146,29 @@ FRONTIER_SCHEMA = pa.schema(
     [CANDIDATE_SCHEMA.field(n) for n in ["url", "host", "priority", "pvt", "pli"]]
     + [("vt", pa.float64())])
 FRONTIER_COLUMNS = FRONTIER_SCHEMA.names
+#: a run on disk: the frontier row plus ``uh = hash64_str(url)``, the
+#: key the run is sorted by (seen probe and fetch-join ranges)
+RUN_SCHEMA = FRONTIER_SCHEMA.append(pa.field("uh", pa.int64()))
+#: rows per run row group: one fixed size, so a run's row-group
+#: statistics prune a hash range
+RUN_GROUP_ROWS = 4096
+#: rows per row group of the corpus layout the fetch-join reads
+LAYOUT_GROUP_ROWS = 4096
 ORDER_KEYS = ["vt", "priority", "pvt", "pli", "url"]
 #: frontier metadata that rides the fetch-join → extraction → discovery
 META_COLUMNS = ["priority", "vt", "pvt", "pli"]
+
+
+class StaleCheckpointError(RuntimeError):
+    """A resumed checkpoint holds a frontier run without the ``uh``
+    column: it predates the hash-sorted run format and cannot resume."""
+
+
+def _cpus() -> int:
+    try:
+        return int(ray.cluster_resources().get("CPU", 0))
+    except Exception:
+        return 0
 
 
 def _n_buckets() -> int:
@@ -157,10 +177,7 @@ def _n_buckets() -> int:
     frontier runs are keyed by it, so one crawl keeps one value: it is
     recorded in every manifest, and resume reuses the recorded value
     whatever the size of the cluster it resumes on."""
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 0))
-    except Exception:
-        cpus = 0
+    cpus = _cpus()
     return max(16, 2 * cpus) if cpus else 64
 
 
@@ -239,7 +256,7 @@ def _seed_candidates(seeds_path: str, robots_ref, config: CrawlConfig,
             n_rows = _dir_num_rows(seeds_path)
         else:
             n_rows = pq.read_metadata(seeds_path).num_rows
-        cpus = int(ray.cluster_resources().get("CPU", 0)) or 32
+        cpus = _cpus() or 32
         blocks = max(1, min(2 * cpus, -(-n_rows // 8192)))
         ds = ray.data.read_parquet(seeds_path, override_num_blocks=blocks)
     except Exception:
@@ -342,35 +359,49 @@ def _le_cutoff(t: pa.Table, cut: list) -> np.ndarray:
     return le | eq
 
 
-def _read_runs(runs: list, cutoffs: dict) -> tuple[np.ndarray, pd.Series]:
-    """``(urls, admitted rows per host)`` of the ``(round, file)`` runs.
+def _probe_runs(urls: np.ndarray, runs: list,
+                cutoffs: dict) -> tuple[np.ndarray, pd.Series]:
+    """``(seen mask of the candidate urls, admitted rows per host)`` over
+    their bucket's ``(round, path)`` runs. Each run is sorted by its
+    stored ``uh``: the candidates are hashed once and binary-searched in
+    every run, and each hit is confirmed against the stored url string
+    (a 64-bit collision never drops a url). History urls are never
+    re-hashed, and a run's url strings are read only if it has a hit.
     Every row is seen; a row counts toward its host's politeness base
     only if it was admitted, i.e. up to the cutoff of a round a budget
     truncated (``cutoffs``: round → ORDER_KEYS tuple)."""
-    urls, hosts = [], []
+    q = hash64_str(urls)
+    dup = np.zeros(len(urls), dtype=bool)
+    hosts = []
     for k, path in runs:
         if not os.path.exists(path):
             continue  # the bucket had no admitted url that round
         cut = cutoffs.get(k)
         with pq.ParquetFile(path) as pf:  # one file: skip dataset discovery
-            t = pf.read(columns=FRONTIER_COLUMNS if cut else ["url", "host"])
-        urls.append(t["url"])
+            t = pf.read(columns=["uh", "host"] + (ORDER_KEYS if cut else []))
+            uh = t["uh"].to_numpy()
+            qi, pos = lookup_sorted(uh, np.arange(len(uh)), q)
+            if len(qi):
+                hist = (t if cut else pf.read(columns=["url"]))["url"].take(pos)
+                dup[qi[hist.to_numpy(zero_copy_only=False) == urls[qi]]] = True
         hosts.append(t["host"] if cut is None else t["host"].filter(_le_cutoff(t, cut)))
-    url_arr = pa.chunked_array(urls, pa.string()).to_numpy()
     host_arr = pa.chunked_array(hosts, pa.string()).to_numpy()
-    return url_arr, pd.Series(host_arr, dtype=object).value_counts()
+    return dup, pd.Series(host_arr, dtype=object).value_counts()
 
 
 def _write_run(df: pd.DataFrame, ckpt: str, k: int, b: int) -> pd.DataFrame:
-    """Write bucket ``b``'s rows of frontier ``k`` as its run, sorted by
-    ORDER_KEYS so the bytes are deterministic; tmp file + ``os.replace``
-    so a reader never sees a partial run. Returns the row count."""
+    """Write bucket ``b``'s rows of frontier ``k`` as its run: with
+    ``uh = hash64_str(url)``, sorted by ``(uh, url)`` so the bytes are
+    deterministic, in row groups of RUN_GROUP_ROWS; tmp file +
+    ``os.replace`` so a reader never sees a partial run. Returns the row
+    count."""
     if len(df):
-        t = pa.Table.from_pandas(df.sort_values(ORDER_KEYS, kind="mergesort"),
-                                 schema=FRONTIER_SCHEMA, preserve_index=False)
+        df = df.assign(uh=hash64_str(df["url"].to_numpy()))
+        t = pa.Table.from_pandas(df.sort_values(["uh", "url"], kind="mergesort"),
+                                 schema=RUN_SCHEMA, preserve_index=False)
         path = _run_path(ckpt, k, b)
         tmp = f"{path}.{os.getpid()}.tmp"
-        pq.write_table(t, tmp)
+        pq.write_table(t, tmp, row_group_size=RUN_GROUP_ROWS)
         os.replace(tmp, path)
     return pd.DataFrame({"n": [len(df)]})
 
@@ -415,17 +446,10 @@ def _admit(cands: ray.data.Dataset, ckpt: str, k: int, cutoffs: dict,
         )
 
         # 2. seen anti-join: the bucket's earlier runs hold every seen
-        #    url of its hosts (bucket = f(host)). Probe their sorted url
-        #    hashes and confirm each hit against the stored string, so a
-        #    64-bit collision can never drop a url.
-        seen, admitted = _read_runs(
-            [(j, _run_path(ckpt, j, b)) for j in range(k)], cutoffs)
-        urls = g["url"].to_numpy()
-        ks = hash64_str(seen)
-        o = np.argsort(ks, kind="stable")
-        qi, pos = lookup_sorted(ks[o], o, hash64_str(urls))
-        dup = np.zeros(len(urls), dtype=bool)
-        dup[qi[seen[pos] == urls[qi]]] = True
+        #    url of its hosts (bucket = f(host)); see _probe_runs
+        dup, admitted = _probe_runs(
+            g["url"].to_numpy(), [(j, _run_path(ckpt, j, b)) for j in range(k)],
+            cutoffs)
         g = g.loc[~dup]
 
         # 3. politeness: k-th candidate of host (ordered by priority,
@@ -444,6 +468,16 @@ def _admit(cands: ray.data.Dataset, ckpt: str, k: int, cutoffs: dict,
 
 
 @ray.remote(num_cpus=0)
+def _load_robots(robots_path: Optional[str], default_delay_ms: int) -> RobotsRules:
+    """The crawl's robots rules, loaded by a Ray TASK into the object
+    store: the driver holds only the reference, never the per-host
+    table."""
+    if robots_path:
+        return RobotsRules.from_parquet(robots_path, default_delay_ms)
+    return RobotsRules.empty(default_delay_ms)
+
+
+@ray.remote(num_cpus=0)
 def _budget_cutoff(files: list) -> list:
     """ORDER_KEYS tuple of the last row a budget admitted: the maximum
     of the truncated round's admitted rows (url makes it a total order)."""
@@ -455,72 +489,72 @@ def _budget_cutoff(files: list) -> list:
 # --------------------------------------------------------------------------
 # fetch + extract
 
+def _hash_ranges(layout: str) -> list[dict]:
+    """About two per CPU contiguous inclusive hash ranges ``{lo, hi}``
+    covering the whole hash space, cut at row-group starts of the
+    layout so each holds about as many row groups. Reads only the
+    layout's footer table; the ranges are all the driver keeps."""
+    starts = pq.read_table(os.path.join(layout, "index.parquet"),
+                           columns=["min_h"])["min_h"].to_numpy()
+    n = max(1, min(len(starts), 2 * (_cpus() or 1)))
+    cuts = np.unique(np.sort(starts)[np.arange(1, n) * len(starts) // n])
+    lo = np.concatenate([[0], cuts[cuts > 0]]).astype(np.int64)
+    hi = np.append(lo[1:] - 1, np.iinfo(np.int64).max)
+    return [{"lo": int(a), "hi": int(b)} for a, b in zip(lo, hi)]
+
+
+def _join_range(layout: str, runs: list, cutoff: Optional[list], lo: int, hi: int):
+    """One hash range of the fetch-join: yields the corpus rows of the
+    round's admitted urls whose ``uh`` lies in ``[lo, hi]``, with
+    META_COLUMNS attached, one table per layout file read. Reads the runs'
+    rows in the range (row-group statistics prune the rest) and only the
+    layout row groups in the range that some admitted ``uh`` falls in. A
+    corpus row is kept only if its url string equals an admitted url,
+    so a hash collision cannot leak a row."""
+    adm = pq.read_table(runs, columns=["url", "uh"] + META_COLUMNS,
+                        filters=[("uh", ">=", lo), ("uh", "<=", hi)])
+    if cutoff is not None:  # a budget admitted only the rows up to it
+        adm = adm.filter(_le_cutoff(adm, cutoff))
+    idx = pq.read_table(os.path.join(layout, "index.parquet"),
+                        filters=[("min_h", "<=", hi), ("max_h", ">=", lo)])
+    idx = idx.filter(touched_groups(np.sort(adm["uh"].to_numpy()),
+                                    idx["min_h"].to_numpy(), idx["max_h"].to_numpy()))
+    groups: dict[str, list] = {}
+    for f, g in zip(idx["file"].to_pylist(), idx["rg"].to_pylist()):
+        groups.setdefault(f, []).append(g)
+    for f, rgs in sorted(groups.items()):
+        t = pq.ParquetFile(os.path.join(layout, "data", f)).read_row_groups(
+            sorted(rgs), columns=["url", "html"])
+        pos = pc.index_in(t["url"], value_set=adm["url"])
+        keep = pc.is_valid(pos)
+        meta = adm.take(pc.filter(pos, keep))
+        sel = t.filter(keep)
+        yield pa.table({"url": sel["url"], "html": sel["html"],
+                        **{c: meta[c] for c in META_COLUMNS}})
+
+
+def _range_fetch_join(layout: str, runs: list, cutoff: Optional[list]) -> ray.data.Dataset:
+    """The corpus-backed fetch: a range merge-join of the round's
+    hash-sorted frontier runs with the hash-sorted corpus layout, one
+    Ray Data task per hash range (:func:`_hash_ranges`,
+    :func:`_join_range`). No process holds the admitted set and no html
+    moves between tasks."""
+    ranges = _hash_ranges(layout)
+
+    def join(batch: pa.Table):
+        for lo, hi in zip(batch["lo"].to_pylist(), batch["hi"].to_pylist()):
+            yield from _join_range(layout, runs, cutoff, lo, hi)
+
+    return ray.data.from_items(ranges, override_num_blocks=len(ranges)).map_batches(
+        join, batch_format="pyarrow", batch_size=1)
+
+
 @ray.remote(num_cpus=0)
 def _load_admitted(adm_files: list) -> pa.Table:
-    """Broadcast-side load for the broadcast fetch-join: runs as a Ray
-    TASK so the admitted table (url + META_COLUMNS, no html) lands in
-    the shared-memory object store, never on the driver. Downstream
-    tasks ``ray.get`` it zero-copy."""
+    """The admitted table (url + META_COLUMNS, no html), loaded by a Ray
+    TASK so it lands in the shared-memory object store, never on the
+    driver; the requeue fetch re-attaches META_COLUMNS from it."""
     return pq.read_table(adm_files, columns=["url"] + META_COLUMNS)
-
-
-def _bucketed_fetch_join(pages: ray.data.Dataset,
-                         adm_ds: ray.data.Dataset) -> ray.data.Dataset:
-    """Partitioned hash join: pages ⋈ admitted on url, co-located by
-    ``url_hash64(url) % B``. The frontier side ships only
-    (url, META_COLUMNS) — no html — so the shuffle payload beyond the
-    corpus scan itself is negligible; the corpus side moves once (the
-    price of not holding the admitted set in any single process)."""
-    n_buckets = _n_buckets()
-
-    # bucket ids come from the vectorized stable hash (vhash.py) on
-    # BOTH sides — any stable function of the url works here (buckets
-    # only co-locate the two sides; the merge key is the url itself)
-
-    def tag_frontier(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        return pa.table(
-            {
-                "url": batch["url"],
-                "html": pa.array([b""] * n, pa.binary()),
-                "side": pa.array(["f"] * n, pa.string()),
-                "bucket": pa.array(
-                    hash64_str(batch["url"]) % n_buckets, pa.int64()
-                ),
-                "priority": batch["priority"],
-                "vt": batch["vt"],
-                "pvt": batch["pvt"],
-                "pli": batch["pli"],
-            }
-        )
-
-    def tag_pages(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        return pa.table(
-            {
-                "url": batch["url"],
-                "html": pc.cast(batch["html"], pa.binary()),
-                "side": pa.array(["p"] * n, pa.string()),
-                "bucket": pa.array(
-                    hash64_str(batch["url"]) % n_buckets, pa.int64()
-                ),
-                "priority": pa.array([0] * n, pa.int64()),
-                "vt": pa.array([0.0] * n, pa.float64()),
-                "pvt": pa.array([0.0] * n, pa.float64()),
-                "pli": pa.array([0] * n, pa.int64()),
-            }
-        )
-
-    both = pages.map_batches(tag_pages, batch_format="pyarrow").union(
-        adm_ds.map_batches(tag_frontier, batch_format="pyarrow")
-    )
-
-    def join_group(g: pd.DataFrame) -> pd.DataFrame:
-        f = g.loc[g["side"] == "f", ["url"] + META_COLUMNS]
-        p = g.loc[g["side"] == "p", ["url", "html"]]
-        return p.merge(f, on="url", how="inner")
-
-    return both.groupby("bucket").map_groups(join_group, batch_format="pandas")
 
 
 def _batch_name(urls: pa.ChunkedArray) -> str:
@@ -552,8 +586,8 @@ class _MetaCarryingFetcher:
     behind the token-bucket ``RateLimiter`` via ``ThrottledFetcher``)
     and carries the frontier's META_COLUMNS through positionally —
     legal because every fetcher contract is 1:1 and order-preserving.
-    This is the "actor-pool HTTP fetcher replaces the corpus scan"
-    deployment shape the scan modes stand in for."""
+    This is the "actor-pool HTTP fetcher replaces the corpus join"
+    deployment shape the corpus join stands in for."""
 
     def __init__(self, inner_cls=None, limiter=None, sleep=None,
                  errors_dir: Optional[str] = None, **inner_kwargs):
@@ -575,15 +609,15 @@ class _MetaCarryingFetcher:
         return fetched.filter(keep)
 
 
-def _live_fetch(adm_files: list, config: CrawlConfig, fetcher_cls=None,
-                fetcher_kwargs: Optional[dict] = None,
-                rate_limiter=None,
-                errors_dir: Optional[str] = None) -> ray.data.Dataset:
-    """Live fetch path (fetch_join="live"): the admitted frontier is
-    READ as a Dataset and streamed straight into the fetch actor pool —
-    no corpus join exists at all. With a corpus-backed fetcher this is
-    byte-identical to the scan modes (test_live_fetch_mode_parity);
-    with ``HttpFetcher`` + ``rate_limiter`` it is the real deployment.
+def _live_fetch(adm_files: list, config: CrawlConfig, fetcher_cls,
+                fetcher_kwargs: Optional[dict], rate_limiter,
+                errors_dir: str) -> ray.data.Dataset:
+    """Live fetch path (run_crawl's ``fetcher_cls``): the admitted
+    frontier is READ as a Dataset and streamed straight into the fetch
+    actor pool — no corpus join exists at all. With ``CorpusFetcher``
+    this is byte-identical to the corpus join
+    (test_live_fetch_mode_parity); with ``HttpFetcher`` +
+    ``rate_limiter`` it is the real deployment.
     Un-fetched rows land in ``errors_dir`` (see _record_lost)."""
     adm = ray.data.read_parquet(adm_files, columns=["url"] + META_COLUMNS)
     return adm.map_batches(
@@ -600,14 +634,14 @@ def _live_fetch(adm_files: list, config: CrawlConfig, fetcher_cls=None,
 
 def _live_requeue_fetch(adm_files: list, config: CrawlConfig, fetcher_cls,
                         fetcher_kwargs: Optional[dict], rate_limiter,
-                        errors_dir: Optional[str] = None) -> ray.data.Dataset:
+                        errors_dir: str) -> ray.data.Dataset:
     """Live fetch via the NON-BLOCKING defer/requeue loop
     (``CrawlConfig.live_requeue``): each admission round fetches every
     currently-grantable row and re-queues throttled ones, so hosts
     drain independently (stages/fetch.py:fetch_with_requeue — a slow
     host's tokens never idle a pool actor). The frontier's ordering
-    metadata is re-attached afterwards by a broadcast ``index_in``
-    lookup against the admitted table (the keep_admitted shape) —
+    metadata is re-attached afterwards by an ``index_in`` lookup
+    against the admitted table in the object store (_load_admitted) —
     legal because the admitted url set is exactly the fetch input.
     Un-fetched (miss/error) rows land in ``errors_dir`` under the same
     never-drop policy as the blocking path."""
@@ -645,120 +679,47 @@ def _extract_with_meta(batch: pa.Table) -> pa.Table:
 
 
 def _fetch_and_extract(
-    pages_path: str, adm_dir: str, round_no: int, odir: str,
-    join_mode: str = "broadcast",
-    config: CrawlConfig = CrawlConfig(),
+    pages_path: str, ckpt: str, round_no: int, adm_dir: str, odir: str,
+    cutoff: Optional[list], config: CrawlConfig,
     fetcher_cls=None, fetcher_kwargs: Optional[dict] = None,
     rate_limiter=None,
 ) -> ray.data.Dataset:
-    """Corpus-backed fetch: one pass over the pages table restricted to
-    the round's admitted URL set, then the extraction kernel. A live
-    deployment swaps this scan for an actor-pool HTTP fetcher; the scan
-    is the offline stand-in (module doc, scale notes).
+    """Fetch the round's admitted urls, then run the extraction kernel.
 
-    The admitted frontier is consumed FROM PARQUET (``adm_dir``) —
-    never from a driver-resident table — and its ordering metadata
-    (META_COLUMNS) rides the join output as columns so extraction and
-    discovery need no side-channel lookup.
+    Without ``fetcher_cls`` the pages come from the corpus: a range
+    merge-join (:func:`_range_fetch_join`) of frontier ``round_no``'s
+    runs, sorted by ``uh = hash64_str(url)``, with the corpus layout of
+    ``sources/hashindex.py``, keyed by the same hash (built once per
+    corpus under ``config.index_dir``, default a ``pages_hidx`` sibling
+    of the pages dir). A round a budget truncated joins only its rows up
+    to ``cutoff``. With ``fetcher_cls`` there is no corpus join: the
+    admitted table (``adm_dir``) feeds an actor-pool fetcher, optionally
+    behind ``rate_limiter`` (the live deployment shape).
 
-    Four join strategies (CrawlConfig.fetch_join):
-
-    * ``broadcast`` (default): a Ray task loads the admitted table into
-      the object store once; each fetch task does one vectorized
-      ``pc.index_in`` per batch (filter + meta gather, zero shuffle).
-      Right whenever the round's url+meta table fits one node's object
-      store.
-    * ``bucketed``: the 10^10-scale path — corpus and (html-less)
-      frontier rows co-locate via one ``groupby(bucket)`` and join
-      inside each group. The admitted set never lives in one process;
-      cost is an all-to-all of the corpus scan, which is why broadcast
-      is preferred until the frontier outgrows a node.
-    * ``indexed``: the sparse regime — a hash-sorted corpus layout with
-      a row-group range index (sources/hashindex.py) lets the round
-      read only the row groups holding admitted urls; the broadcast
-      lookup then filters them.
-    * ``live``: no corpus join — the admitted frontier feeds an
-      actor-pool fetcher (``fetcher_cls``, optionally behind
-      ``rate_limiter``) directly.
-
-    The round output parquet is written INSIDE the pipeline (one file
-    per extracted batch, content-derived idempotent names, so task
-    retries overwrite rather than duplicate) and only the slim
-    ``(url, links, META_COLUMNS)`` table flows on to the discovery
-    stages — one execution and one corpus pass per round, with
-    extraction, the write, and discovery all overlapped by the
-    streaming executor."""
-    from ..pipelines.flagship import _default_blocks
-
+    Either way the frontier's ordering metadata (META_COLUMNS) rides the
+    fetched rows as columns, so extraction and discovery need no
+    side-channel lookup. The round output parquet is written INSIDE the
+    pipeline (one file per extracted batch, content-derived idempotent
+    names, so task retries overwrite rather than duplicate) and only the
+    slim ``(url, links, META_COLUMNS)`` table flows on to the discovery
+    stages — one execution per round, with fetch, extraction, the write
+    and discovery all overlapped by the streaming executor."""
     _reset_dir(odir)  # crashed-attempt leftovers
-    adm_files = _parquet_files(adm_dir)
-
-    if join_mode == "live":
-        if fetcher_cls is None:
-            # offline default: the deterministic corpus-backed fetcher.
-            # TEST/SANDBOX ONLY — each fetch actor loads the whole
-            # corpus dict (CorpusFetcher docstring); a large-corpus
-            # offline run belongs on the scan modes, and a real live
-            # deployment passes HttpFetcher (no corpus at all).
-            from ..stages.fetch import CorpusFetcher
-
-            fetcher_cls = CorpusFetcher
-            fetcher_kwargs = dict(fetcher_kwargs or {}, pages_path=pages_path)
-        if config.live_requeue and rate_limiter is not None:
-            fetched = _live_requeue_fetch(
-                adm_files, config, fetcher_cls, fetcher_kwargs, rate_limiter,
-                errors_dir=os.path.join(odir, "errors"))
-        else:
-            fetched = _live_fetch(adm_files, config, fetcher_cls,
-                                  fetcher_kwargs, rate_limiter,
-                                  errors_dir=os.path.join(odir, "errors"))
-        extracted = fetched.map_batches(_extract_with_meta,
-                                        batch_format="pyarrow", batch_size=256)
-        return _write_and_slim_stage(extracted, round_no, odir)
-
-    if join_mode == "bucketed":
-        pages = ray.data.read_parquet(pages_path, columns=["url", "html"],
-                                      override_num_blocks=_default_blocks())
-        adm_ds = ray.data.read_parquet(adm_files, columns=["url"] + META_COLUMNS)
-        fetched = _bucketed_fetch_join(pages, adm_ds)
+    errors_dir = os.path.join(odir, "errors")
+    if fetcher_cls is None:
+        layout = build_hash_index(
+            pages_path, "url",
+            config.index_dir or os.path.join(
+                os.path.dirname(pages_path.rstrip("/")) or ".", "pages_hidx"),
+            columns=["url", "html"], rows_per_group=LAYOUT_GROUP_ROWS)
+        fetched = _range_fetch_join(
+            layout, _parquet_files(_frontier_dir(ckpt, round_no)), cutoff)
+    elif config.live_requeue and rate_limiter is not None:
+        fetched = _live_requeue_fetch(_parquet_files(adm_dir), config, fetcher_cls,
+                                      fetcher_kwargs, rate_limiter, errors_dir)
     else:
-        adm_ref = _load_admitted.remote(adm_files)
-
-        def keep_admitted(batch: pa.Table) -> pa.Table:
-            adm: pa.Table = ray.get(adm_ref)  # zero-copy plasma read
-            idx = pc.index_in(batch["url"], value_set=adm["url"])
-            mask = pc.is_valid(idx)
-            sel = batch.filter(mask)
-            meta = adm.take(pc.filter(idx, mask))
-            out = {"url": sel["url"], "html": sel["html"]}
-            for c in META_COLUMNS:
-                out[c] = meta[c]
-            return pa.table(out)
-
-        if join_mode == "indexed":
-            # sparse point-lookup regime: hash-sorted corpus layout +
-            # row-group range index (built once per corpus, cached);
-            # the round reads ONLY the row groups containing admitted
-            # urls instead of scanning the corpus. Right when the
-            # round is small relative to the corpus (refetch/repair
-            # rounds, tail crawls); the scan modes stay right for
-            # dense rounds (sources/hashindex.py cost model).
-            from ..sources.hashindex import build_hash_index, hash_lookup
-
-            index_dir = config.index_dir or os.path.join(
-                os.path.dirname(pages_path.rstrip("/")) or ".",
-                "pages_hidx")
-            idx_dir = build_hash_index(pages_path, "url", index_dir,
-                                       columns=["url", "html"])
-            adm_urls = ray.data.read_parquet(adm_files, columns=["url"])
-            pages = hash_lookup(idx_dir, adm_urls, "url",
-                                columns=["url", "html"])
-        else:
-            pages = ray.data.read_parquet(
-                pages_path, columns=["url", "html"],
-                override_num_blocks=_default_blocks())
-
-        fetched = pages.map_batches(keep_admitted, batch_format="pyarrow")
+        fetched = _live_fetch(_parquet_files(adm_dir), config, fetcher_cls,
+                              fetcher_kwargs, rate_limiter, errors_dir)
     extracted = fetched.map_batches(_extract_with_meta, batch_format="pyarrow",
                                     batch_size=256)
     return _write_and_slim_stage(extracted, round_no, odir)
@@ -857,7 +818,7 @@ def crawl_order_ds(checkpoint_dir: str) -> "ray.data.Dataset":
     for r in _complete_rounds(checkpoint_dir):
         files = _round_files(checkpoint_dir, r)
         if files:
-            ds = ray.data.read_parquet(files)
+            ds = ray.data.read_parquet(files, columns=FRONTIER_COLUMNS)
             ds = ds.map_batches(
                 lambda t, _r=r: t.append_column(
                     "round", pa.array([_r] * t.num_rows, pa.int64())
@@ -880,7 +841,7 @@ def load_crawl_order(checkpoint_dir: str) -> pd.DataFrame:
     frames = []
     for r in _complete_rounds(checkpoint_dir):
         files = _round_files(checkpoint_dir, r)
-        tbl = pq.read_table(files) if files else None
+        tbl = pq.read_table(files, columns=FRONTIER_COLUMNS) if files else None
         if tbl is not None and tbl.num_rows:
             df = tbl.to_pandas()
             df["round"] = r
@@ -907,21 +868,18 @@ def run_crawl(
 ) -> CrawlResult:
     """Run (or resume) the frontier crawl. See module docstring.
 
-    With ``config.fetch_join="live"`` the corpus scan is replaced by an
-    actor-pool fetcher (``fetcher_cls``, default the corpus-backed
-    offline fetcher; pass ``stages.fetch.HttpFetcher`` + a
+    Pages come from the corpus ``pages_path`` by the range fetch-join.
+    Passing ``fetcher_cls`` replaces that join with an actor-pool fetcher
+    constructed with ``fetcher_kwargs``: ``stages.fetch.CorpusFetcher``
+    (``pages_path=...``) offline, or ``HttpFetcher`` + a
     ``rate_limiter`` for a real deployment — the limiter binds per-host
-    politeness across the whole pool)."""
+    politeness across the whole pool. Resuming from runs written before
+    the hash-sorted run format raises :class:`StaleCheckpointError`."""
     os.makedirs(checkpoint_dir, exist_ok=True)
     ctx = ray.data.DataContext.get_current()
     ctx.enable_progress_bars = False
 
-    robots = (
-        RobotsRules.from_parquet(robots_path, config.default_crawl_delay_ms)
-        if robots_path
-        else RobotsRules.empty(config.default_crawl_delay_ms)
-    )
-    robots_ref = ray.put(robots)
+    robots_ref = _load_robots.remote(robots_path, config.default_crawl_delay_ms)
     n_buckets = _n_buckets()
     # budget-truncated round -> cutoff (at most one: a cut spends the budget)
     cutoffs: dict[int, list] = {}
@@ -942,6 +900,13 @@ def run_crawl(
         if pages_budget is not None:
             pages_budget -= total_admitted
         start_round = done_rounds[-1] + 1
+        for k in range(start_round + 1):
+            for f in _parquet_files(_frontier_dir(checkpoint_dir, k)):
+                if "uh" not in pq.read_schema(f).names:
+                    raise StaleCheckpointError(
+                        f"{f}: the checkpoint predates the hash-sorted frontier "
+                        "run format (no 'uh' column); crawl into a new "
+                        "checkpoint_dir instead of resuming")
     else:
         # Round 0 discovery: seeds → fused admit → frontier_0 runs
         cands = _seed_candidates(seeds_path, robots_ref, config, n_buckets)
@@ -974,15 +939,12 @@ def run_crawl(
         if pages_budget is not None:
             pages_budget -= n_admitted
 
-        # ONE execution per round: corpus scan → fetch-join → extract
-        # (+ in-pipeline output write) → discovery → fused admit →
-        # next frontier's runs
+        # ONE execution per round: fetch-join → extract (+ in-pipeline
+        # output write) → discovery → fused admit → next frontier's runs
         odir = os.path.join(checkpoint_dir, f"output_{r:04d}")
-        out_slim = _fetch_and_extract(pages_path, adm_dir, r, odir,
-                                      join_mode=config.fetch_join,
-                                      config=config, fetcher_cls=fetcher_cls,
-                                      fetcher_kwargs=fetcher_kwargs,
-                                      rate_limiter=rate_limiter)
+        out_slim = _fetch_and_extract(pages_path, checkpoint_dir, r, adm_dir, odir,
+                                      cutoffs.get(r), config, fetcher_cls,
+                                      fetcher_kwargs, rate_limiter)
         n_next = 0
         if r < config.max_depth:
             cands = _link_candidates(out_slim, robots_ref, config, n_buckets)

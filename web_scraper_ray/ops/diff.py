@@ -4,9 +4,9 @@ vanished).
 
 Scale shape: each side reduces to slim ``(key, content_h)`` rows —
 an int63 md5-upper-half content hash, never the text — then the two
-sides co-locate by ``key % B`` in ONE union + groupby (the
-``_bucketed_fetch_join`` pattern, ``crawl/frontier.py``): no process
-ever holds either snapshot, and the all-to-all moves 16 bytes per row.
+sides co-locate by ``key % B`` in ONE union + groupby (a partitioned
+hash join): no process ever holds either snapshot, and the all-to-all
+moves 16 bytes per row.
 Verdicts per key:
 
   added      key only in ``new``

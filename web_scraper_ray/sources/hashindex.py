@@ -1,45 +1,44 @@
-"""Hash-sorted point-lookup layout — sparse key fetches from a huge
-corpus without scanning it.
+"""Hash-sorted corpus layout — read only the row groups a key set
+touches instead of scanning the table.
 
-The crawl's scan-join regimes (``crawl/frontier.py``: broadcast /
-bucketed) pay ONE FULL CORPUS PASS per round. That is the right price
-when the round touches a meaningful fraction of the corpus, but the
-wrong one for SPARSE access — re-fetching 10^4 failed URLs out of a
-10^10-page store, serving a decontamination blocklist's hits, point
-repairs after a partial round. This module is the sparse regime:
-
-  1. ``build_hash_index`` (once per corpus, amortized over every later
-     lookup): add ``key_h`` = int63 blake2b of the key, ONE global
-     ``Dataset.sort(key_h)`` (the only all-to-all, paid once), write
+  1. ``build_hash_index`` (once per source, amortized over every later
+     read): add ``__key_h`` = ``vhash.hash64_str`` of the key (an int
+     key hashes as its decimal string), ONE global
+     ``Dataset.sort(__key_h)`` (the only all-to-all, paid once), write
      parquet with small row groups, then read back ONLY THE FOOTERS to
-     record each row group's [min_h, max_h] — because files are sorted,
-     the ranges are tight and disjoint, so the index is a genuine
-     range tree with one row per row group (metadata-scale: a 10^10-row
-     corpus at 4k rows/group is a 2.4M-row index table).
+     record each row group's [min_h, max_h] in ``index.parquet``. The
+     files are sorted, so the ranges are tight and disjoint: one index
+     row per row group (a 10^10-row corpus at 4k rows/group is a
+     2.4M-row index table). The layout directory is named by a digest
+     of the source signature and published with one ``os.replace``, so
+     it never goes stale and concurrent builders never clobber it.
   2. ``hash_lookup``: hash the wanted keys, fold them into one sorted
      array in the object store (a Ray task — the driver never holds
      the key set), prune the row-group list by binary search, and read
      ONLY the touched row groups — one Ray task per file's touched-run.
-     A 64-bit hash match is necessary but not sufficient (collisions
-     are certain at web scale), so each read task re-filters by the
-     EXACT key against the same object-store key set.
+     A 64-bit hash match is necessary but not sufficient, so each read
+     task re-filters by the EXACT key against the same key set.
 
 Cost model: with key-fraction ``f`` and ``R`` rows per group, a row
 group is touched with probability ``1-(1-f)^R ≈ f·R``; at f=1e-6 and
-R=4096 the lookup reads ~0.4% of the corpus instead of 100%. The
+R=4096 a lookup reads ~0.4% of the corpus instead of 100%. The
 fragment PLAN (file + row-group runs, not rows) does pass through the
 driver — it is bounded by touched row groups, i.e. metadata-, never
 row-scale.
 
-Wired as the crawl's ``fetch_join="indexed"`` regime and as the
-``indexed_fetch`` driver query (SQL oracle: a plain WHERE over the
-same table).
+The crawl's fetch-join (``crawl/frontier.py:_range_fetch_join``) reads
+the same layout: its frontier runs store ``uh = hash64_str(url)``, so a
+row group's [min_h, max_h] compares directly with them. ``hash_lookup``
+serves the ``indexed_fetch`` driver query (SQL oracle: a plain WHERE
+over the same table).
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import shutil
+import uuid
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -51,27 +50,20 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
-__all__ = ["build_hash_index", "hash_lookup", "key_hash63"]
+from ..vhash import hash64_str
 
-_INT63 = (1 << 63) - 1
+__all__ = ["build_hash_index", "hash_lookup", "touched_groups"]
 
-
-def key_hash63(key) -> int:
-    """int63 blake2b of the key's canonical string form (ints hash as
-    their decimal string, so int64 and string key columns share one
-    hash definition)."""
-    s = key if isinstance(key, str) else str(key)
-    h = int.from_bytes(
-        hashlib.blake2b(s.encode("utf-8"), digest_size=8).digest(), "big")
-    return h & _INT63
+#: the layout's key-hash column: ``vhash.hash64_str`` of the key
+KEY_H = "__key_h"
 
 
-def _hash_col(values) -> np.ndarray:
-    return np.fromiter((key_hash63(v) for v in values), dtype=np.int64,
-                       count=len(values))
-
-
-def _src_stamp(src_path: str, key_col: str, columns, rows_per_group: int) -> str:
+def _src_digest(src_path: str, key_col: str, columns, rows_per_group: int) -> str:
+    """Digest of the layout's source signature: file names, sizes and
+    ``mtime_ns``, the key, the columns and the row-group size. An
+    in-place rewrite with same-size files (easy with fixed-schema
+    synthetic corpora) changes ``mtime_ns``, so it names a new layout
+    instead of serving rows of the old corpus."""
     files = []
     if os.path.isdir(src_path):
         for root, _, fs in os.walk(src_path):
@@ -79,23 +71,20 @@ def _src_stamp(src_path: str, key_col: str, columns, rows_per_group: int) -> str
                       if f.endswith(".parquet")]
     else:
         files = [src_path]
-    # name + size + mtime_ns: an in-place rewrite with same-size files
-    # (easy with fixed-schema synthetic corpora) must invalidate too —
-    # a stale index would silently serve rows from the OLD corpus
     sig = ";".join(
         f"{os.path.basename(f)}:{os.path.getsize(f)}:"
         f"{os.stat(f).st_mtime_ns}"
         for f in sorted(files))
-    return f"{key_col}:{','.join(columns or [])}:{rows_per_group}:{sig}"
+    sig = f"{key_col}:{','.join(columns or [])}:{rows_per_group}:{sig}"
+    return hashlib.blake2b(sig.encode(), digest_size=10).hexdigest()
 
 
 @ray.remote(num_cpus=0)
-def _footer_ranges(path: str, key_h_col: str) -> pa.Table:
+def _footer_ranges(path: str) -> pa.Table:
     """Per-row-group [min,max] of the hash column from the parquet
     FOOTER only — no data pages are read."""
     md = pq.ParquetFile(path).metadata
-    names = [md.schema.column(i).name for i in range(md.num_columns)]
-    ci = names.index(key_h_col)
+    ci = md.schema.names.index(KEY_H)
     lo, hi, ns = [], [], []
     for g in range(md.num_row_groups):
         st = md.row_group(g).column(ci).statistics
@@ -103,7 +92,7 @@ def _footer_ranges(path: str, key_h_col: str) -> pa.Table:
         hi.append(st.max)
         ns.append(md.row_group(g).num_rows)
     return pa.table({
-        "file": pa.array([path] * md.num_row_groups, pa.string()),
+        "file": pa.array([os.path.basename(path)] * md.num_row_groups, pa.string()),
         "rg": pa.array(range(md.num_row_groups), pa.int64()),
         "min_h": pa.array(lo, pa.int64()),
         "max_h": pa.array(hi, pa.int64()),
@@ -118,44 +107,53 @@ def build_hash_index(
     columns: Optional[list[str]] = None,
     rows_per_group: int = 4096,
 ) -> str:
-    """Materialize ``src_path`` as a hash-sorted point-lookup layout
-    under ``out_dir`` (``data/`` sorted parquet + ``index.parquet``
-    row-group ranges). Idempotent: a ``_DONE`` stamp of the source file
-    listing + params skips the rebuild, so the one-time sort amortizes
-    over every later :func:`hash_lookup` (and over crawl rounds)."""
-    stamp = _src_stamp(src_path, key_col, columns, rows_per_group)
-    marker = os.path.join(out_dir, "_DONE")
-    if os.path.exists(marker):
-        with open(marker) as f:
-            if f.read().strip() == stamp:
-                return out_dir
-    import shutil
+    """Materialize ``src_path`` as a hash-sorted point-lookup layout and
+    return its directory, ``out_dir/<digest>`` (``data/`` sorted parquet
+    + ``index.parquet`` row-group ranges). The digest names the source
+    signature (:func:`_src_digest`), so an existing directory is a
+    complete layout of exactly this source and is reused as is: the
+    one-time sort amortizes over every later :func:`hash_lookup` and
+    crawl round. A build writes a private tmp directory and publishes it
+    with one ``os.replace``; a concurrent builder of the same source
+    that publishes first wins, and two sources never share a name."""
+    layout = os.path.join(out_dir, _src_digest(src_path, key_col, columns,
+                                               rows_per_group))
+    if os.path.isdir(layout):
+        return layout
+    tmp = f"{layout}.{uuid.uuid4().hex}.tmp"
+    data_dir = os.path.join(tmp, "data")
+    os.makedirs(data_dir)
+    try:
+        from web_scraper_ray.ops import sized_read_parquet
 
-    shutil.rmtree(out_dir, ignore_errors=True)
-    data_dir = os.path.join(out_dir, "data")
-    os.makedirs(data_dir, exist_ok=True)
+        def add_hash(t: pa.Table) -> pa.Table:
+            return t.append_column(KEY_H, pa.array(hash64_str(t[key_col]), pa.int64()))
 
-    from web_scraper_ray.ops import sized_read_parquet
+        (sized_read_parquet(src_path, columns=columns)
+           .map_batches(add_hash, batch_format="pyarrow")
+           .sort(KEY_H)
+           .write_parquet(data_dir, row_group_size=rows_per_group))
 
-    ds = sized_read_parquet(src_path, columns=columns)
+        files = sorted(os.path.join(data_dir, f) for f in os.listdir(data_dir)
+                       if f.endswith(".parquet"))
+        parts = ray.get([_footer_ranges.remote(f) for f in files])
+        idx = pa.concat_tables([p for p in parts if p.num_rows])
+        pq.write_table(idx.sort_by("min_h"), os.path.join(tmp, "index.parquet"))
+        os.replace(tmp, layout)
+    except OSError:
+        if not os.path.isdir(layout):
+            raise
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+    return layout
 
-    def add_hash(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "__key_h", pa.array(_hash_col(t[key_col].to_pylist()),
-                                pa.int64()))
 
-    (ds.map_batches(add_hash, batch_format="pyarrow")
-       .sort("__key_h")
-       .write_parquet(data_dir, row_group_size=rows_per_group))
-
-    files = sorted(os.path.join(data_dir, f) for f in os.listdir(data_dir)
-                   if f.endswith(".parquet"))
-    parts = ray.get([_footer_ranges.remote(f, "__key_h") for f in files])
-    idx = pa.concat_tables([p for p in parts if p.num_rows])
-    pq.write_table(idx, os.path.join(out_dir, "index.parquet"))
-    with open(marker, "w") as f:
-        f.write(stamp)
-    return out_dir
+def touched_groups(hashes: np.ndarray, min_h: np.ndarray,
+                   max_h: np.ndarray) -> np.ndarray:
+    """Mask of the row groups ``[min_h, max_h]`` that some of the sorted
+    ``hashes`` fall in."""
+    return (np.searchsorted(hashes, min_h, side="left")
+            < np.searchsorted(hashes, max_h, side="right"))
 
 
 @ray.remote(num_cpus=0, num_returns=2)
@@ -168,7 +166,7 @@ def _fold_keys(*tables):
     if not chunks:
         return np.empty(0, dtype=np.int64), pa.array([], pa.string())
     keys = pc.unique(pa.chunked_array(chunks))
-    hashes = np.sort(_hash_col(keys.to_pylist()))
+    hashes = np.sort(hash64_str(keys))
     return hashes, keys
 
 
@@ -178,13 +176,12 @@ def _plan_fragments(index_dir: str, hashes: np.ndarray) -> list[dict]:
     merge touched row groups into contiguous runs per file (one read
     task per run)."""
     idx = pq.read_table(os.path.join(index_dir, "index.parquet"))
-    files = idx.column("file").to_pylist()
+    idx = idx.sort_by([("file", "ascending"), ("rg", "ascending")])
+    files = [os.path.join(index_dir, "data", f)
+             for f in idx.column("file").to_pylist()]
     rgs = idx.column("rg").to_numpy()
-    lo = idx.column("min_h").to_numpy()
-    hi = idx.column("max_h").to_numpy()
-    # a row group is touched iff some wanted hash falls in [lo, hi]
-    touched = np.searchsorted(hashes, lo, side="left") < \
-        np.searchsorted(hashes, hi, side="right")
+    touched = touched_groups(hashes, idx.column("min_h").to_numpy(),
+                             idx.column("max_h").to_numpy())
     runs: list[dict] = []
     prev_file, prev_rg = None, -2
     for f, g, t in zip(files, rgs, touched):
@@ -227,7 +224,7 @@ def hash_lookup(
             break
     if schema is None:
         raise FileNotFoundError(f"no data files under {data_dir}")
-    out_cols = columns or [n for n in schema.names if n != "__key_h"]
+    out_cols = columns or [n for n in schema.names if n != KEY_H]
 
     if not runs:
         empty = pa.table({c: pa.array([], schema.field(c).type)

@@ -38,9 +38,10 @@ FETCH_SCHEMA = pa.schema(
 
 class CorpusFetcher:
     """Offline fetcher: one actor holds a url→html map for its corpus
-    shard (loaded once in ``__init__``). Used directly in tests; the
-    frontier engine uses the scan-side join instead (frontier.py) so the
-    full corpus is never resident."""
+    shard (loaded once in ``__init__``). Used directly in tests and as
+    the frontier engine's offline ``fetcher_cls``; without one the engine
+    range-joins the corpus instead (frontier.py), so the full corpus is
+    never resident."""
 
     def __init__(self, pages_path: str):
         import pyarrow.parquet as pq
@@ -358,11 +359,12 @@ def fetch_with_requeue(
 
 def corpus_scan_fetch(urls: list[str], pages_path: str) -> "ray.data.Dataset":
     """Offline fetch of an explicit (small) URL list as ONE streaming
-    corpus scan — the job-pipeline twin of the frontier engine's
-    broadcast fetch-join (``crawl/frontier.py:keep_admitted``). The URL
-    set broadcasts via ``ray.put`` (small side); the corpus is scanned
-    once, column-pruned, with a vectorized ``index_in`` filter per
-    batch — no actor ever holds a url→html dict of the whole corpus
+    corpus scan. The URL set is small by contract, so it broadcasts via
+    ``ray.put`` (the crawl's frontier is not: it range-joins a
+    hash-sorted corpus layout, ``crawl/frontier.py:_range_fetch_join``);
+    the corpus is scanned once, column-pruned, with a vectorized
+    ``index_in`` filter per batch — no actor ever holds a url→html dict
+    of the whole corpus
     (the ``CorpusFetcher``-per-actor materialization this replaces).
     URLs absent from the corpus simply never appear (the caller's
     fetched-status filter drops misses either way). A URL listed k
