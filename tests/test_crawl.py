@@ -6,6 +6,8 @@ import os
 import shutil
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from web_scraper_ray.crawl.config import CrawlConfig
 from web_scraper_ray.crawl.model import sequential_crawl
@@ -322,6 +324,45 @@ def test_giant_host_spanning_blocks(ray_session, small_corpus, tmp_path):
     assert len(m_order) == len(urls)
 
 
+def test_seed_read_plans_row_slices(ray_session, tmp_path):
+    """The seed read is planned from the footer: a single-row-group
+    file of 20,000 seeds is cut into row slices, so at 4 CPUs it yields
+    >= 2 blocks, and exactly the candidate rows that one
+    ``read_parquet`` of the whole file yields."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray
+    from web_scraper_ray.crawl import frontier
+    from web_scraper_ray.functions.urls import canonicalize_url, is_valid_url
+
+    urls = [f"https://h{i % 37}.example/p/{i}" for i in range(20_000)]
+    urls[5], urls[9], urls[19_999] = "not-a-url", urls[8], "/relative"
+    seeds = pa.table({"seed_index": pa.array(range(len(urls)), pa.int64()),
+                      "url": urls,
+                      "priority": pa.array([(i * 5) % 3 for i in range(len(urls))],
+                                           pa.int64())})
+    sp = str(tmp_path / "seeds.parquet")
+    pq.write_table(seeds, sp)
+    assert pq.ParquetFile(sp).metadata.num_row_groups == 1
+    cfg = CrawlConfig()
+    ds = frontier._seed_candidates(
+        sp, ray.put(RobotsRules.empty(cfg.default_crawl_delay_ms)), cfg, 64).materialize()
+    assert ds.num_blocks() >= 2
+
+    rows = frontier._new_rows()
+    for r in ray.data.read_parquet(sp).take_all():
+        if is_valid_url(r["url"]):
+            frontier._push_candidate(rows, canonicalize_url(r["url"]), r["priority"],
+                                     -1.0, r["seed_index"], 0, -1.0, 0, "", 64)
+    want = frontier._candidate_table(rows)
+    assert want.num_rows == len(urls) - 2
+
+    def key(r):
+        return tuple(r.values())
+
+    assert sorted(ds.take_all(), key=key) == sorted(want.to_pylist(), key=key)
+
+
 def test_crawl_order_ds_matches_dataframe(engine_result):
     """The distributed crawl-order Dataset equals the driver-side
     DataFrame helper row for row."""
@@ -402,6 +443,7 @@ def test_sparse_round_reads_few_layout_groups(ray_session, small_corpus,
     than exist, and returns exactly the rows an exact-url filter of the
     corpus returns, with the frontier's META_COLUMNS attached."""
     import pandas as pd
+    import pyarrow as pa
     import pyarrow.parquet as pq
 
     from web_scraper_ray.crawl import frontier
@@ -416,8 +458,9 @@ def test_sparse_round_reads_few_layout_groups(ray_session, small_corpus,
     adm = pd.DataFrame({"url": want, "host": [u.split("/")[2] for u in want],
                         "priority": [0, 1, 2], "pvt": [-1.0] * 3, "pli": [7, 8, 9],
                         "vt": [0.0, 100.0, 200.0]})
-    frontier._write_run(adm.iloc[:2], ckpt, 0, 0)  # two bucket runs
-    frontier._write_run(adm.iloc[2:], ckpt, 0, 1)
+    adm = pa.Table.from_pandas(adm, preserve_index=False)
+    frontier._write_run(adm.slice(0, 2), ckpt, 0, 0)  # two bucket runs
+    frontier._write_run(adm.slice(2), ckpt, 0, 1)
     runs = frontier._parquet_files(frontier._frontier_dir(ckpt, 0))
 
     read = []
@@ -444,6 +487,7 @@ def test_range_join_confirms_urls_on_hash_collisions(ray_session, small_corpus,
     every admitted hash collides with many corpus rows; the url string
     confirm still returns exactly the admitted urls' rows."""
     import pandas as pd
+    import pyarrow as pa
     import pyarrow.parquet as pq
 
     from web_scraper_ray.crawl import frontier
@@ -463,9 +507,10 @@ def test_range_join_confirms_urls_on_hash_collisions(ray_session, small_corpus,
     want = sorted(pages["url"])[3:60:19]
     ckpt = str(tmp_path / "ckpt")
     os.makedirs(frontier._frontier_dir(ckpt, 0))
-    frontier._write_run(pd.DataFrame({
+    frontier._write_run(pa.Table.from_pandas(pd.DataFrame({
         "url": want, "host": [u.split("/")[2] for u in want], "priority": 0,
-        "pvt": -1.0, "pli": range(len(want)), "vt": 0.0}), ckpt, 0, 0)
+        "pvt": -1.0, "pli": range(len(want)), "vt": 0.0}), preserve_index=False),
+        ckpt, 0, 0)
     got = frontier._range_fetch_join(
         layout, frontier._parquet_files(frontier._frontier_dir(ckpt, 0)), None).to_pandas()
     assert sorted(got["url"]) == want
@@ -517,27 +562,34 @@ def test_hash_index_prunes_row_groups(ray_session, small_corpus, tmp_path):
                             str(tmp_path / "hidx"), columns=["url", "html"],
                             rows_per_group=16) == idx
     assert stamps(idx) == before
-    # an in-place SOURCE rewrite (same names/sizes, new mtime) names a
-    # new layout, which is built, and leaves the old one untouched
+    # another source, and the same source with other columns, under the
+    # same parent get their own layouts; no tmp build directory is left
+    # behind
     src_file = sorted(glob.glob(f"{small_corpus}/pages/*.parquet"))[0]
-    os.utime(src_file)
-    rebuilt = build_hash_index(f"{small_corpus}/pages", "url",
-                               str(tmp_path / "hidx"), columns=["url", "html"],
-                               rows_per_group=16)
-    assert rebuilt != idx and stamps(idx) == before
-    assert min(stamps(rebuilt).values()) > max(before.values())
-    got = hash_lookup(rebuilt, want, "url", columns=["url"]).to_pandas()
-    assert sorted(got["url"]) == sorted(want)
-    # another source under the same parent gets its own layout; no tmp
-    # build directory is left behind
     os.makedirs(tmp_path / "other")
     pq.write_table(pq.read_table(src_file).slice(0, 50),
                    tmp_path / "other" / os.path.basename(src_file))
     other = build_hash_index(str(tmp_path / "other"), "url", str(tmp_path / "hidx"),
                              columns=["url", "html"], rows_per_group=16)
-    assert len({idx, rebuilt, other}) == 3
+    urls_only = build_hash_index(f"{small_corpus}/pages", "url",
+                                 str(tmp_path / "hidx"), columns=["url"],
+                                 rows_per_group=16)
+    assert len({idx, other, urls_only}) == 3
     assert sorted(os.listdir(tmp_path / "hidx")) == sorted(
-        os.path.basename(p) for p in (idx, rebuilt, other))
+        os.path.basename(p) for p in (idx, other, urls_only))
+    # an in-place SOURCE rewrite (same names/sizes, new mtime) names a
+    # new layout, which is built and supersedes the old one: one layout
+    # is left for that source, and the other layouts survive untouched
+    os.utime(src_file)
+    rebuilt = build_hash_index(f"{small_corpus}/pages", "url",
+                               str(tmp_path / "hidx"), columns=["url", "html"],
+                               rows_per_group=16)
+    assert rebuilt != idx and not os.path.exists(idx)
+    assert min(stamps(rebuilt).values()) > max(before.values())
+    got = hash_lookup(rebuilt, want, "url", columns=["url"]).to_pandas()
+    assert sorted(got["url"]) == sorted(want)
+    assert sorted(os.listdir(tmp_path / "hidx")) == sorted(
+        os.path.basename(p) for p in (rebuilt, other, urls_only))
 
 
 def test_live_fetch_mode_parity(ray_session, small_corpus, tmp_path_factory,
@@ -713,25 +765,160 @@ def test_resume_ignores_crashed_admission(ray_session, small_corpus, tmp_path,
     assert res.seen.snapshot() == model_result[1]
 
 
-def test_seen_probe_confirms_hash_hits(ray_session, small_corpus, tmp_path,
-                                       monkeypatch, model_result):
-    """With the run hash cut to 3 bits nearly every candidate collides
-    with some seen url; only the string confirm keeps the crawl equal
-    to the model. (The admission task is a closure, so Ray ships it with
-    the patched module global.)"""
+def _run_table(urls, priority=0):
+    """Frontier rows (FRONTIER_COLUMNS) of ``urls``, one run."""
+    import pyarrow as pa
+
+    return pa.table({"url": urls, "host": [u.split("/")[2] for u in urls],
+                     "priority": [priority] * len(urls), "pvt": [-1.0] * len(urls),
+                     "pli": list(range(len(urls))),
+                     "vt": [100.0 * i for i in range(len(urls))]})
+
+
+def _candidates(rows):
+    """CANDIDATE_SCHEMA table of ``(url, priority, pvt, pli, w_pri, w_pvt,
+    w_pli, w_canon)`` rows, all in bucket 3."""
+    import pyarrow as pa
+
+    from web_scraper_ray.crawl.frontier import CANDIDATE_SCHEMA
+
+    cols = list(zip(*rows)) if rows else [()] * 8
+    names = ["url", "priority", "pvt", "pli", "w_pri", "w_pvt", "w_pli", "w_canon"]
+    data = dict(zip(names, map(list, cols)))
+    data["host"] = [u.split("/")[2] for u in data["url"]]
+    data["bucket"] = [3] * len(rows)
+    return pa.table({n: pa.array(data[n], CANDIDATE_SCHEMA.field(n).type)
+                     for n in CANDIDATE_SCHEMA.names})
+
+
+def test_seen_probe_confirms_hash_hits(tmp_path, monkeypatch):
+    """With the url hash cut to 3 bits, every candidate of a bucket
+    collides with some history url. ``_admit_bucket``, run in-process so
+    the cut hash really reaches the probe and the run writer, still
+    drops exactly the seen urls and writes the rows the full hash
+    writes: only the string confirm tells a collision from a hit."""
+    import pyarrow.parquet as pq
+
     from web_scraper_ray.crawl import frontier
-    from web_scraper_ray.crawl.frontier import load_crawl_order, run_crawl
     from web_scraper_ray.vhash import hash64_str
 
-    monkeypatch.setattr(frontier, "hash64_str", lambda v: hash64_str(v) & 7)
-    res = run_crawl(f"{small_corpus}/pages", f"{small_corpus}/seeds.parquet",
-                    str(tmp_path), robots_path=f"{small_corpus}/robots.parquet",
-                    config=CFG)
-    order = load_crawl_order(str(tmp_path))
-    m_order, m_seen = model_result
-    assert list(zip(order["round"], order["url"], order["vt"])) == [
-        (r["round"], r["url"], r["vt"]) for r in m_order]
-    assert res.seen.snapshot() == m_seen
+    def cut(v):
+        return hash64_str(v) & 7
+
+    robots = RobotsRules({}, {"b.example": 250}, 100)
+    hist = [[f"https://a.example/{i}" for i in range(0, 40, 2)],
+            [f"https://b.example/{i}" for i in range(30)]]
+    seen = {u for urls in hist for u in urls}
+    urls = ["https://a.example/4", "https://a.example/5", "https://a.example/7",
+            "https://a.example/22", "https://b.example/3", "https://b.example/30",
+            "https://c.example/0", "https://a.example/5"]
+    cands = _candidates([(u, i % 2, -1.0, i, 0, -1.0, 0, "")
+                         for i, u in enumerate(urls)])
+    assert set(cut(urls)) <= set(cut(sorted(seen)))  # every candidate collides
+
+    def admit(hash_fn):
+        monkeypatch.setattr(frontier, "hash64_str", hash_fn)
+        ckpt = str(tmp_path / hash_fn.__name__)
+        for k, run in enumerate(hist):
+            os.makedirs(frontier._frontier_dir(ckpt, k))
+            frontier._write_run(_run_table(run), ckpt, k, 3)
+        os.makedirs(frontier._frontier_dir(ckpt, 2))
+        n = frontier._admit_bucket(cands, ckpt, 2, {}, robots)["n"][0].as_py()
+        return n, pq.read_table(frontier._run_path(ckpt, 2, 3)) if n else None
+
+    n_full, full = admit(hash64_str)
+    n_cut, collided = admit(cut)
+    assert n_cut == n_full == 4
+    assert max(collided["uh"].to_pylist()) <= 7  # the writer saw the cut hash
+    cols = ["url", "host", "priority", "pvt", "pli", "vt"]
+    assert (collided.select(cols).sort_by("url").to_pylist()
+            == full.select(cols).sort_by("url").to_pylist())
+    assert set(full["url"].to_pylist()) == set(urls) - seen
+    # bases 20 (a) and 30 (b, delay 250); a.example/5 wins its dup with
+    # pli 1 and ranks after a.example/7 (priority 1 > 0)
+    assert sorted(zip(*(full[c].to_pylist() for c in ("url", "pli", "vt")))) == [
+        ("https://a.example/5", 1, 2100.0), ("https://a.example/7", 2, 2000.0),
+        ("https://b.example/30", 5, 7500.0), ("https://c.example/0", 6, 0.0)]
+
+
+_SPEC_URLS = [f"https://{h}.example/{i}" for h in "abcd" for i in range(6)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(rows=st.lists(st.tuples(st.sampled_from(_SPEC_URLS),
+                               st.sampled_from([-1.0, 0.0, 100.0]),
+                               st.integers(0, 2), st.sampled_from([-1.0, 0.0]),
+                               st.integers(0, 1),
+                               st.sampled_from(["", "https://p.example/a"]),
+                               st.integers(0, 3)), min_size=1, max_size=40),
+       split=st.integers(0, 40),
+       hist=st.tuples(*[st.lists(st.sampled_from(_SPEC_URLS), unique=True,
+                                 max_size=12)] * 2),
+       cut_at=st.one_of(st.none(), st.integers(0, 11)))
+def test_admit_bucket_matches_spec(rows, split, hist, cut_at):
+    """Differential check of the Arrow admission against a pure-Python
+    spec. The candidates (many duplicate urls with tied keys,
+    ``pvt = -1.0``, four hosts, one of them missing from robots) go
+    through ``_precombine`` in two batches, then ``_admit_bucket``
+    against two history runs, the second maybe cut by a budget. The run
+    must hold the min ``_DEDUP_SORT`` row per url minus the history
+    urls, ranked per host by ``(priority, pvt, pli, url)`` with
+    ``vt = (base + rank) * delay``, bases counting history rows only up
+    to the cutoff; and it must be sorted by ``(uh, url)``."""
+    import collections
+    import tempfile
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from web_scraper_ray.crawl import frontier
+    from web_scraper_ray.vhash import hash64_str
+
+    # priority == w_pri, as for every discovered link: rows that tie on
+    # the whole _DEDUP_SORT key are then identical
+    cand_rows = [(u, w_pri, pvt, pli, w_pri, w_pvt, w_pli, w_canon)
+                 for u, pvt, w_pri, w_pvt, w_pli, w_canon, pli in rows]
+    robots = RobotsRules({}, {"a.example": 300, "b.example": 0, "c.example": 70}, 100)
+    runs = [_run_table(hist[0]), _run_table([u for u in hist[1] if u not in hist[0]])]
+    order = sorted(zip(*(runs[1][c].to_pylist() for c in frontier.ORDER_KEYS)))
+    cutoffs = {1: list(order[cut_at])} if cut_at is not None and cut_at < len(order) else {}
+
+    # the spec
+    best = {}
+    for r in rows:
+        best[r[0]] = min(best.get(r[0], r), r)
+    bases = collections.Counter(u.split("/")[2] for u in hist[0])
+    bases.update(t[-1].split("/")[2] for t in order
+                 if 1 not in cutoffs or list(t) <= cutoffs[1])
+    seen = set(hist[0]) | set(hist[1])
+    by_host = collections.defaultdict(list)
+    for u, pvt, w_pri, _, _, _, pli in best.values():
+        if u not in seen:
+            by_host[u.split("/")[2]].append((w_pri, pvt, pli, u))
+    want = sorted((u, h, pri, pvt, pli, float((bases[h] + rank) * robots.delay_ms(h)))
+                  for h, keys in by_host.items()
+                  for rank, (pri, pvt, pli, u) in enumerate(sorted(keys)))
+
+    cands = _candidates(cand_rows)
+    g = pa.concat_tables([frontier._precombine(cands.slice(0, split)),
+                          frontier._precombine(cands.slice(split))])
+    with tempfile.TemporaryDirectory() as ckpt:
+        for k, run in enumerate(runs):
+            os.makedirs(frontier._frontier_dir(ckpt, k))
+            frontier._write_run(run, ckpt, k, 3)
+        os.makedirs(frontier._frontier_dir(ckpt, 2))
+        n = frontier._admit_bucket(g, ckpt, 2, cutoffs, robots)["n"][0].as_py()
+        path = frontier._run_path(ckpt, 2, 3)
+        got = pq.read_table(path) if os.path.exists(path) else None
+    assert n == len(want)
+    if not want:
+        assert got is None
+        return
+    assert got.schema.remove_metadata() == frontier.RUN_SCHEMA
+    assert sorted(zip(*(got[c].to_pylist() for c in frontier.FRONTIER_COLUMNS))) == want
+    uh, urls = got["uh"].to_pylist(), got["url"].to_pylist()
+    assert uh == hash64_str(urls).tolist()
+    assert list(zip(uh, urls)) == sorted(zip(uh, urls))
 
 
 def test_manifests_hold_scalars_only(engine_result):
@@ -758,16 +945,10 @@ def test_seen_probe_hashes_only_candidates(tmp_path, monkeypatch):
     a history url. With the hash cut to 3 bits every run row collides,
     and the string confirm still returns the exact seen mask."""
     import numpy as np
+    import pyarrow as pa
 
     from web_scraper_ray.crawl import frontier
     from web_scraper_ray.vhash import hash64_str
-
-    def run_rows(urls, vt0):
-        import pandas as pd
-
-        return pd.DataFrame({"url": urls, "host": [u.split("/")[2] for u in urls],
-                             "priority": 0, "pvt": -1.0, "pli": 0,
-                             "vt": [vt0 + 100.0 * i for i in range(len(urls))]})
 
     hist = [[f"https://a.example/{i}" for i in range(0, 40, 2)],
             [f"https://b.example/{i}" for i in range(30)]]
@@ -780,17 +961,17 @@ def test_seen_probe_hashes_only_candidates(tmp_path, monkeypatch):
         ckpt = str(tmp_path / f"ckpt_{cut_hash}")
         for k, urls in enumerate(hist):
             os.makedirs(frontier._frontier_dir(ckpt, k))
-            frontier._write_run(run_rows(urls, 0.0), ckpt, k, 3)
+            frontier._write_run(_run_table(urls), ckpt, k, 3)
         seen_calls = []
         hashed = frontier.hash64_str
         monkeypatch.setattr(frontier, "hash64_str",
-                            lambda v: seen_calls.append(list(v)) or hashed(v))
+                            lambda v: seen_calls.append(v.to_pylist()) or hashed(v))
         dup, bases = frontier._probe_runs(
-            cands, [(k, frontier._run_path(ckpt, k, 3)) for k in range(3)], {})
+            pa.array(cands), [(k, frontier._run_path(ckpt, k, 3)) for k in range(3)], {})
         monkeypatch.setattr(frontier, "hash64_str", hashed)
         assert seen_calls == [list(cands)]
         assert list(dup) == [True, False, True, False, False]
-        assert bases.to_dict() == {"a.example": 20, "b.example": 30}
+        assert bases == {"a.example": 20, "b.example": 30}
 
 
 def test_resume_from_old_run_format_fails_loudly(ray_session, small_corpus,

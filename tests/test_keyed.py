@@ -293,3 +293,25 @@ def test_crawl_frontier_starts_no_actor():
                         and ast.unparse(node.func) == "ray.put")):
                 uses.append(getattr(fn, "name", "<module>"))
     assert set(uses) <= {"_live_requeue_fetch"}
+
+
+def test_crawl_admission_is_arrow_native():
+    """The admission path stays in Arrow: the combiner, the bucket task,
+    the seen probe and the run writer never touch pandas, and both of
+    ``_admit``'s Ray Data stages ask for pyarrow batches. The seed read
+    is planned from Parquet footers: ``_seed_candidates`` never calls
+    ``read_parquet``, whose datasource blocks the driver on a remote
+    sampling task."""
+    path = (pathlib.Path(__file__).resolve().parents[1] / "web_scraper_ray"
+            / "crawl" / "frontier.py")
+    fns = {n.name: n for n in ast.parse(path.read_text()).body
+           if isinstance(n, ast.FunctionDef)}
+    for name in ("_precombine", "_admit_bucket", "_probe_runs", "_write_run"):
+        assert not [n for n in ast.walk(fns[name])
+                    if isinstance(n, ast.Name) and n.id == "pd"], name
+    formats = [ast.unparse(kw.value) for n in ast.walk(fns["_admit"])
+               if isinstance(n, ast.Call) for kw in n.keywords
+               if kw.arg == "batch_format"]
+    assert formats == ["'pyarrow'", "'pyarrow'"]
+    assert not [n for n in ast.walk(fns["_seed_candidates"])
+                if isinstance(n, ast.Attribute) and n.attr == "read_parquet"]

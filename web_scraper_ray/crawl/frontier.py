@@ -63,14 +63,15 @@ inert.
 
 Driver-state discipline (the 10^10-frontier contract): the round loop
 never materializes a round in one process and holds scalars only —
-frontier row counts come from parquet FOOTER METADATA; budget
-truncation is a distributed ``sort(ORDER_KEYS).limit(K)`` whose cutoff
-a Ray task computes; the frontier's (priority, vt, pvt, pli) ride the
-fetch-join as COLUMNS into discovery (no url→meta dict); per-host
-politeness bases are read inside the bucket tasks, and the robots
-rules are loaded by a Ray task, never on the driver.
-The only driver ``ray.get`` is the budget cutoff (tests/test_keyed.py
-guards this).
+frontier row counts come from parquet FOOTER METADATA; the seed read is
+planned from the seed files' footers too (row-group slices, no
+sampling task for the driver to wait on); budget truncation is a
+distributed ``sort(ORDER_KEYS).limit(K)`` whose cutoff a Ray task
+computes; the frontier's (priority, vt, pvt, pli) ride the fetch-join
+as COLUMNS into discovery (no url→meta dict); per-host politeness bases
+are read inside the bucket tasks, and the robots rules are loaded by a
+Ray task, never on the driver. The only driver ``ray.get`` is the
+budget cutoff (tests/test_keyed.py guards this).
 
 Scale notes (10^10 frontier, SURVEY.md §7):
 * The fetch-join is one range merge-join. ``sources/hashindex.py``
@@ -85,11 +86,14 @@ Scale notes (10^10 frontier, SURVEY.md §7):
   each once. No process holds the admitted set and no html shuffles.
   With ``fetcher_cls`` an actor-pool fetcher replaces the join (the
   live deployment shape).
-* Hot hosts serialize only their *ordering* (a vectorized per-host
-  cumcount inside the bucket task), not their fetches. Admission has
-  one path: every candidate of a host lands in its bucket's task, so a
-  host with k candidates costs O(k log k) in ONE task and the bound is
-  that task's memory (a host whose seeds span many read blocks is
+* Hot hosts serialize only their *ordering*, not their fetches: the
+  bucket task sorts its Arrow table by (host, priority, pvt, pli, url)
+  and ranks each host's rows from the run starts of the sorted ``host``
+  column; bases and delays are looked up once per distinct host. No
+  block is converted to pandas. Admission has one path: every
+  candidate of a host lands in its bucket's task, so a host with k
+  candidates costs O(k log k) in ONE task and the bound is that task's
+  memory (a host whose seeds span many read blocks is
   checked against the model by test_giant_host_spanning_blocks). Past
   that bound, salt ``host#chunk`` for queue storage and keep a single
   budget key.
@@ -248,43 +252,49 @@ def _seed_candidates(seeds_path: str, robots_ref, config: CrawlConfig,
     # pays pure dispatch tax — 64 map + 64 sort-reduce tasks whose
     # remote work is milliseconds (measured 5.7s -> 1.8s at 42k seeds,
     # 32 CPUs). ~8k rows/block keeps one block per task worth of real
-    # work; huge seed tables still fan out to 2 blocks/CPU. Block count
-    # is physical granularity only — crawl bytes are parallelism-
-    # independent (tests/test_crawl.py cross-parallelism gates).
-    try:
-        if os.path.isdir(seeds_path):
-            n_rows = _dir_num_rows(seeds_path)
-        else:
-            n_rows = pq.read_metadata(seeds_path).num_rows
-        cpus = _cpus() or 32
-        blocks = max(1, min(2 * cpus, -(-n_rows // 8192)))
-        ds = ray.data.read_parquet(seeds_path, override_num_blocks=blocks)
-    except Exception:
-        ds = ray.data.read_parquet(seeds_path)
+    # work; huge seed tables still fan out to 2 blocks/CPU. The plan is
+    # (file, row group, row slice) items, a row group larger than a
+    # block's share cut into slices: ``read_parquet`` would first block
+    # the driver on a remote fragment-sampling task (0.47-0.65 s stalls
+    # seen on a 1-CPU host). Block count is physical granularity only —
+    # crawl bytes are parallelism-independent (tests/test_crawl.py
+    # cross-parallelism gates).
+    files = _parquet_files(seeds_path) if os.path.isdir(seeds_path) else [seeds_path]
+    groups = [(f, g, md.row_group(g).num_rows) for f in files
+              for md in [pq.read_metadata(f)] for g in range(md.num_row_groups)]
+    n_rows = sum(n for _, _, n in groups)
+    blocks = max(1, min(2 * (_cpus() or 32), -(-n_rows // 8192)))
+    share = -(-n_rows // blocks)
+    items = [{"file": f, "rg": g, "lo": i * n // cuts, "hi": (i + 1) * n // cuts}
+             for f, g, n in groups for cuts in [-(-n // share)] for i in range(cuts)]
+    if not items:
+        return ray.data.from_arrow(_candidate_table(_new_rows()))
 
-    def to_cands(batch: pa.Table) -> pa.Table:
+    def to_cands(batch: pa.Table):
         robots: RobotsRules = ray.get(robots_ref)
-        urls = batch["url"].to_pylist()
-        idxs = batch["seed_index"].to_pylist()
-        pris = (
-            batch["priority"].to_pylist()
-            if "priority" in batch.schema.names
-            else [0] * batch.num_rows
-        )
-        rows = _new_rows()
-        for url, sidx, pri in zip(urls, idxs, pris):
-            if not is_valid_url(url):
-                continue
-            canon = canonicalize_url(url)
-            if matches_ignore_patterns(canon, config.ignore_patterns):
-                continue
-            if config.respect_robots and not robots.is_allowed(canon):
-                continue
-            _push_candidate(rows, canon, int(pri), -1.0, int(sidx), 0, -1.0, 0, "",
-                            n_buckets)
-        return _candidate_table(rows)
+        for f, g, lo, hi in zip(*(batch[c].to_pylist() for c in ("file", "rg", "lo", "hi"))):
+            with pq.ParquetFile(f) as pf:
+                cols = [c for c in ("url", "seed_index", "priority")
+                        if c in pf.schema_arrow.names]
+                seeds = pf.read_row_group(g, columns=cols).slice(lo, hi - lo)
+            pris = (seeds["priority"].to_pylist() if "priority" in cols
+                    else [0] * seeds.num_rows)
+            rows = _new_rows()
+            for url, sidx, pri in zip(seeds["url"].to_pylist(),
+                                      seeds["seed_index"].to_pylist(), pris):
+                if not is_valid_url(url):
+                    continue
+                canon = canonicalize_url(url)
+                if matches_ignore_patterns(canon, config.ignore_patterns):
+                    continue
+                if config.respect_robots and not robots.is_allowed(canon):
+                    continue
+                _push_candidate(rows, canon, int(pri), -1.0, int(sidx), 0, -1.0, 0, "",
+                                n_buckets)
+            yield _candidate_table(rows)
 
-    return ds.map_batches(to_cands, batch_format="pyarrow")
+    return ray.data.from_items(items, override_num_blocks=min(blocks, len(items))
+                               ).map_batches(to_cands, batch_format="pyarrow", batch_size=1)
 
 
 def _link_candidates(
@@ -323,21 +333,32 @@ def _link_candidates(
 # --------------------------------------------------------------------------
 # the fused per-bucket admission stage
 
-#: the in-round dedup winner ordering (bucket_admit step 1): for one
+#: the in-round dedup winner ordering (_admit_bucket step 1): for one
 #: url, "first discovery in sequential crawl order" = min of this key
 _DEDUP_SORT = ["url", "pvt", "w_pri", "w_pvt", "w_pli", "w_canon", "pli"]
 
 
-def _precombine(df: pd.DataFrame) -> pd.DataFrame:
-    """Per-batch candidate combiner BEFORE the admission shuffle: keep
-    only each url's min-winner-key row within the batch. Correct because
-    min is associative — the batch winner is the only row of its batch
-    that can be the global winner, and bucket_admit re-applies the same
-    ordering across batches. Cuts shuffle rows by the in-batch dup
-    factor (links repeat heavily within a page neighborhood)."""
-    return df.sort_values(_DEDUP_SORT, kind="mergesort").drop_duplicates(
-        subset=["url"], keep="first"
-    )
+def _run_heads(col: pa.ChunkedArray) -> np.ndarray:
+    """Mask of the first row of each run of equal values in ``col``:
+    one ``pc.not_equal`` of the column against itself shifted by one."""
+    n = len(col)
+    heads = np.ones(n, dtype=bool)
+    if n > 1:
+        heads[1:] = pc.not_equal(col.slice(1), col.slice(0, n - 1)).to_numpy()
+    return heads
+
+
+def _precombine(t: pa.Table) -> pa.Table:
+    """Keep only each url's min-``_DEDUP_SORT`` row: a stable
+    ``Table.sort_by`` puts each url's rows in one run, winner first, and
+    the run heads are kept (:func:`_run_heads`). Runs per batch BEFORE
+    the admission shuffle as a combiner, and again in each bucket task
+    across batches (correct because min is associative — the batch
+    winner is the only row of its batch that can be the global winner).
+    Cuts shuffle rows by the in-batch dup factor (links repeat heavily
+    within a page neighborhood)."""
+    t = t.sort_by([(c, "ascending") for c in _DEDUP_SORT])
+    return t.filter(_run_heads(t["url"]))
 
 
 def _frontier_dir(ckpt: str, k: int) -> str:
@@ -359,8 +380,8 @@ def _le_cutoff(t: pa.Table, cut: list) -> np.ndarray:
     return le | eq
 
 
-def _probe_runs(urls: np.ndarray, runs: list,
-                cutoffs: dict) -> tuple[np.ndarray, pd.Series]:
+def _probe_runs(urls: pa.ChunkedArray, runs: list,
+                cutoffs: dict) -> tuple[np.ndarray, dict]:
     """``(seen mask of the candidate urls, admitted rows per host)`` over
     their bucket's ``(round, path)`` runs. Each run is sorted by its
     stored ``uh``: the candidates are hashed once and binary-searched in
@@ -383,27 +404,28 @@ def _probe_runs(urls: np.ndarray, runs: list,
             qi, pos = lookup_sorted(uh, np.arange(len(uh)), q)
             if len(qi):
                 hist = (t if cut else pf.read(columns=["url"]))["url"].take(pos)
-                dup[qi[hist.to_numpy(zero_copy_only=False) == urls[qi]]] = True
+                dup[qi[pc.equal(hist, urls.take(qi)).to_numpy()]] = True
         hosts.append(t["host"] if cut is None else t["host"].filter(_le_cutoff(t, cut)))
-    host_arr = pa.chunked_array(hosts, pa.string()).to_numpy()
-    return dup, pd.Series(host_arr, dtype=object).value_counts()
+    counts = pc.value_counts(pa.chunked_array(hosts, pa.string()))
+    return dup, dict(zip(counts.field("values").to_pylist(),
+                         counts.field("counts").to_pylist()))
 
 
-def _write_run(df: pd.DataFrame, ckpt: str, k: int, b: int) -> pd.DataFrame:
+def _write_run(t: pa.Table, ckpt: str, k: int, b: int) -> pa.Table:
     """Write bucket ``b``'s rows of frontier ``k`` as its run: with
     ``uh = hash64_str(url)``, sorted by ``(uh, url)`` so the bytes are
     deterministic, in row groups of RUN_GROUP_ROWS; tmp file +
     ``os.replace`` so a reader never sees a partial run. Returns the row
     count."""
-    if len(df):
-        df = df.assign(uh=hash64_str(df["url"].to_numpy()))
-        t = pa.Table.from_pandas(df.sort_values(["uh", "url"], kind="mergesort"),
-                                 schema=RUN_SCHEMA, preserve_index=False)
+    if t.num_rows:
+        t = t.append_column("uh", pa.array(hash64_str(t["url"]), pa.int64()))
+        t = t.sort_by([("uh", "ascending"), ("url", "ascending")])
         path = _run_path(ckpt, k, b)
         tmp = f"{path}.{os.getpid()}.tmp"
-        pq.write_table(t, tmp, row_group_size=RUN_GROUP_ROWS)
+        pq.write_table(t.select(RUN_SCHEMA.names).cast(RUN_SCHEMA), tmp,
+                       row_group_size=RUN_GROUP_ROWS)
         os.replace(tmp, path)
-    return pd.DataFrame({"n": [len(df)]})
+    return pa.table({"n": [t.num_rows]})
 
 
 def _apply_url_gate(cands: ray.data.Dataset,
@@ -423,48 +445,53 @@ def _apply_url_gate(cands: ray.data.Dataset,
     return cands.map_batches(gate, batch_format="pandas")
 
 
+def _admit_bucket(g: pa.Table, ckpt: str, k: int, cutoffs: dict,
+                  robots: RobotsRules) -> pa.Table:
+    """One host bucket's admission into frontier ``k`` (``g``: all of the
+    round's candidates in the bucket): in-round dedup, the seen anti-join
+    against the bucket's runs of rounds < ``k``, per-host virtual times
+    and the write of the bucket's run."""
+    b = g["bucket"][0].as_py()
+    # 1. in-round dedup: min winner key per url == first discovery in
+    #    sequential crawl order (model.py step 4)
+    g = _precombine(g)
+
+    # 2. seen anti-join: the bucket's earlier runs hold every seen url
+    #    of its hosts (bucket = f(host)); see _probe_runs
+    dup, admitted = _probe_runs(
+        g["url"], [(j, _run_path(ckpt, j, b)) for j in range(k)], cutoffs)
+    g = g.filter(~dup)
+
+    # 3. politeness: k-th candidate of host (ordered by priority, pvt,
+    #    pli, url) gets vt = (base + k) * delay (model.py step 1), base =
+    #    the host's admitted rows in the same runs
+    g = g.sort_by([(c, "ascending") for c in ("host", "priority", "pvt", "pli", "url")])
+    starts = np.flatnonzero(_run_heads(g["host"]))
+    sizes = np.diff(np.append(starts, g.num_rows))
+    hosts = g["host"].take(starts).to_pylist()
+    rank = np.arange(g.num_rows) - np.repeat(starts, sizes)
+    base = np.repeat(np.array([admitted.get(h, 0) for h in hosts], np.int64), sizes)
+    delay = np.repeat(np.array([robots.delay_ms(h) for h in hosts], np.int64), sizes)
+    vt = ((base + rank) * delay).astype(float)
+    return _write_run(g.select(["url", "host", "priority", "pvt", "pli"])
+                      .append_column("vt", pa.array(vt, pa.float64())), ckpt, k, b)
+
+
 def _admit(cands: ray.data.Dataset, ckpt: str, k: int, cutoffs: dict,
            robots_ref, config: CrawlConfig) -> ray.data.Dataset:
     """Admit candidates into frontier ``k``'s runs in ONE shuffle: a
-    host-bucket groupby fusing in-round dedup, the seen anti-join
-    against the bucket's runs of rounds < ``k``, per-host virtual-time
-    assignment and the write of the bucket's run of frontier ``k`` (see
-    module doc); yields one row count per bucket. The optional URL
-    pre-fetch gate runs first — both discovery sites (seeds, link
-    expansion) feed through here, so the gate screens every candidate
-    exactly once."""
+    host-bucket groupby whose task is :func:`_admit_bucket` (see module
+    doc); yields one row count per bucket. The optional URL pre-fetch
+    gate runs first — both discovery sites (seeds, link expansion) feed
+    through here, so the gate screens every candidate exactly once."""
     if config.url_gate is not None:
         cands = _apply_url_gate(cands, config.url_gate)
-    cands = cands.map_batches(_precombine, batch_format="pandas")
+    cands = cands.map_batches(_precombine, batch_format="pyarrow")
 
-    def bucket_admit(g: pd.DataFrame) -> pd.DataFrame:
-        b = int(g["bucket"].iloc[0])
-        # 1. in-round dedup: min winner key per url == first discovery
-        #    in sequential crawl order (model.py step 4)
-        g = g.sort_values(_DEDUP_SORT, kind="mergesort").drop_duplicates(
-            subset=["url"], keep="first"
-        )
+    def bucket_admit(g: pa.Table) -> pa.Table:
+        return _admit_bucket(g, ckpt, k, cutoffs, ray.get(robots_ref))
 
-        # 2. seen anti-join: the bucket's earlier runs hold every seen
-        #    url of its hosts (bucket = f(host)); see _probe_runs
-        dup, admitted = _probe_runs(
-            g["url"].to_numpy(), [(j, _run_path(ckpt, j, b)) for j in range(k)],
-            cutoffs)
-        g = g.loc[~dup]
-
-        # 3. politeness: k-th candidate of host (ordered by priority,
-        #    pvt, pli, url) gets vt = (base + k) * delay (model.py step 1),
-        #    base = the host's admitted rows in the same runs
-        robots: RobotsRules = ray.get(robots_ref)
-        g = g.sort_values(["host", "priority", "pvt", "pli", "url"], kind="mergesort")
-        rank = g.groupby("host", sort=False).cumcount()
-        base = g["host"].map(admitted).fillna(0).astype("int64")
-        delay = g["host"].map(robots.delay_ms)
-        g = g[["url", "host", "priority", "pvt", "pli"]].copy()
-        g["vt"] = ((base + rank) * delay).astype(float)
-        return _write_run(g, ckpt, k, b)
-
-    return cands.groupby("bucket").map_groups(bucket_admit, batch_format="pandas")
+    return cands.groupby("bucket").map_groups(bucket_admit, batch_format="pyarrow")
 
 
 @ray.remote(num_cpus=0)

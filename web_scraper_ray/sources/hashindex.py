@@ -11,7 +11,10 @@ touches instead of scanning the table.
      row per row group (a 10^10-row corpus at 4k rows/group is a
      2.4M-row index table). The layout directory is named by a digest
      of the source signature and published with one ``os.replace``, so
-     it never goes stale and concurrent builders never clobber it.
+     it never goes stale and concurrent builders never clobber it; the
+     build then removes the layouts of older versions of the same
+     source (same recorded lineage), so a rewritten corpus leaves one
+     layout behind, not one per version.
   2. ``hash_lookup``: hash the wanted keys, fold them into one sorted
      array in the object store (a Ray task — the driver never holds
      the key set), prune the row-group list by binary search, and read
@@ -36,6 +39,7 @@ over the same table).
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import shutil
 import uuid
@@ -79,6 +83,27 @@ def _src_digest(src_path: str, key_col: str, columns, rows_per_group: int) -> st
     return hashlib.blake2b(sig.encode(), digest_size=10).hexdigest()
 
 
+def _prune_superseded(out_dir: str, layout: str, lineage: dict) -> None:
+    """Remove the sibling layouts of ``layout``'s lineage (``lineage.json``:
+    source path, key, columns, rows per group), i.e. older versions of
+    the same source. Each goes by one ``os.replace`` to a tmp name
+    first, so no reader sees a half-removed layout. A layout of another
+    lineage, or one without a lineage record, stays."""
+    for name in os.listdir(out_dir):
+        old = os.path.join(out_dir, name)
+        if old == layout or name.endswith(".tmp"):
+            continue
+        try:
+            with open(os.path.join(old, "lineage.json")) as f:
+                if json.load(f) != lineage:
+                    continue
+            doomed = f"{old}.{uuid.uuid4().hex}.tmp"
+            os.replace(old, doomed)
+        except (OSError, ValueError):
+            continue  # not a layout of this lineage, or already gone
+        shutil.rmtree(doomed, ignore_errors=True)
+
+
 @ray.remote(num_cpus=0)
 def _footer_ranges(path: str) -> pa.Table:
     """Per-row-group [min,max] of the hash column from the parquet
@@ -109,13 +134,15 @@ def build_hash_index(
 ) -> str:
     """Materialize ``src_path`` as a hash-sorted point-lookup layout and
     return its directory, ``out_dir/<digest>`` (``data/`` sorted parquet
-    + ``index.parquet`` row-group ranges). The digest names the source
-    signature (:func:`_src_digest`), so an existing directory is a
-    complete layout of exactly this source and is reused as is: the
-    one-time sort amortizes over every later :func:`hash_lookup` and
-    crawl round. A build writes a private tmp directory and publishes it
-    with one ``os.replace``; a concurrent builder of the same source
-    that publishes first wins, and two sources never share a name."""
+    + ``index.parquet`` row-group ranges + ``lineage.json``). The digest
+    names the source signature (:func:`_src_digest`), so an existing
+    directory is a complete layout of exactly this source and is reused
+    as is: the one-time sort amortizes over every later
+    :func:`hash_lookup` and crawl round. A build writes a private tmp
+    directory and publishes it with one ``os.replace``; a concurrent
+    builder of the same source that publishes first wins, and two
+    sources never share a name. After publishing, the build removes the
+    layouts it supersedes (:func:`_prune_superseded`)."""
     layout = os.path.join(out_dir, _src_digest(src_path, key_col, columns,
                                                rows_per_group))
     if os.path.isdir(layout):
@@ -139,7 +166,12 @@ def build_hash_index(
         parts = ray.get([_footer_ranges.remote(f) for f in files])
         idx = pa.concat_tables([p for p in parts if p.num_rows])
         pq.write_table(idx.sort_by("min_h"), os.path.join(tmp, "index.parquet"))
+        lineage = {"src": os.path.abspath(src_path.rstrip("/")), "key": key_col,
+                   "columns": list(columns or []), "rows_per_group": rows_per_group}
+        with open(os.path.join(tmp, "lineage.json"), "w") as f:
+            json.dump(lineage, f)
         os.replace(tmp, layout)
+        _prune_superseded(out_dir, layout, lineage)
     except OSError:
         if not os.path.isdir(layout):
             raise
