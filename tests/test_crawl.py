@@ -2,6 +2,7 @@
 reference model exactly — crawl order, seen set, fetched set — and
 resume from checkpoint without divergence (SURVEY.md §5.3, §5.6)."""
 
+import dataclasses
 import os
 import shutil
 
@@ -102,8 +103,8 @@ def test_engine_fetched_counts(engine_result, model_result):
 def _copy_round0(src: str, dst: str) -> None:
     """A checkpoint "killed" after round 0: only round 0's files."""
     for name in os.listdir(src):
-        if name.startswith(("frontier_0000", "frontier_0001", "admitted_0000",
-                            "output_0000", "manifest_0000")):
+        if name.startswith(("frontier_0000", "frontier_0001", "output_0000",
+                            "manifest_0000")):
             s, d = os.path.join(src, name), os.path.join(dst, name)
             if os.path.isdir(s):
                 shutil.copytree(s, d)
@@ -193,8 +194,35 @@ def test_engine_max_pages_budget(ray_session, small_corpus, tmp_path_factory,
     assert res.seen.snapshot() == m_seen
 
 
-def test_budget_cut_counts_only_admitted_rows(ray_session, small_corpus,
-                                              tmp_path):
+BUDGET_CFG = CrawlConfig(max_depth=2, seen_shards=4, max_pages=12)
+
+
+@pytest.fixture(scope="module")
+def budget_model(small_corpus):
+    robots = RobotsRules.from_parquet(f"{small_corpus}/robots.parquet",
+                                      BUDGET_CFG.default_crawl_delay_ms)
+    return sequential_crawl(f"{small_corpus}/pages", f"{small_corpus}/seeds.parquet",
+                            robots, BUDGET_CFG)
+
+
+@pytest.fixture(scope="module")
+def budget_result(ray_session, small_corpus, tmp_path_factory):
+    """The range-join crawl under ``BUDGET_CFG``: round 1 is cut."""
+    from web_scraper_ray.crawl.frontier import load_crawl_order, run_crawl
+
+    ckpt = str(tmp_path_factory.mktemp("ckpt_budget12"))
+    res = run_crawl(f"{small_corpus}/pages", f"{small_corpus}/seeds.parquet",
+                    ckpt, robots_path=f"{small_corpus}/robots.parquet",
+                    config=BUDGET_CFG)
+    return res, load_crawl_order(ckpt)
+
+
+def _order_rows(order):
+    return list(zip(order["round"], order["url"], order["vt"]))
+
+
+def test_budget_cut_counts_only_admitted_rows(small_corpus, budget_result,
+                                              budget_model):
     """max_pages=12 cuts round 1 (round 0 admits 6 urls, round 1 has 9):
     all of round 1's urls stay seen, but the next frontier's politeness
     bases count only its admitted rows, those up to the manifest's
@@ -203,17 +231,11 @@ def test_budget_cut_counts_only_admitted_rows(ray_session, small_corpus,
 
     import pyarrow.parquet as pq
 
-    from web_scraper_ray.crawl.frontier import load_crawl_order, run_crawl
-
-    cfg = CrawlConfig(max_depth=2, seen_shards=4, max_pages=12)
+    res, order = budget_result
+    m_order, m_seen = budget_model
     robots = RobotsRules.from_parquet(f"{small_corpus}/robots.parquet",
-                                      cfg.default_crawl_delay_ms)
-    m_order, m_seen = sequential_crawl(
-        f"{small_corpus}/pages", f"{small_corpus}/seeds.parquet", robots, cfg)
-    ckpt = str(tmp_path)
-    res = run_crawl(f"{small_corpus}/pages", f"{small_corpus}/seeds.parquet",
-                    ckpt, robots_path=f"{small_corpus}/robots.parquet", config=cfg)
-    order = load_crawl_order(ckpt)
+                                      BUDGET_CFG.default_crawl_delay_ms)
+    ckpt = res.checkpoint_dir
     assert list(order["url"]) == [r["url"] for r in m_order]
     assert res.seen.snapshot() == m_seen
     with open(os.path.join(ckpt, "manifest_0001.json")) as f:
@@ -228,6 +250,51 @@ def test_budget_cut_counts_only_admitted_rows(ray_session, small_corpus,
         ((base + rank) * nxt["host"].map(robots.delay_ms)).astype(float))
 
 
+def test_budget_cut_resume(ray_session, small_corpus, tmp_path, budget_result,
+                           budget_model):
+    """Resume a budget crawl from a checkpoint whose round 1 was cut
+    (copied through manifest_0001; the cutoff lives only in the
+    manifest), and from one after round 0 (the resumed run makes the
+    cut): both equal the uninterrupted crawl and the model. A stale
+    ``admitted_0001/`` of an older checkpoint format, here holding all of
+    frontier 1, is ignored."""
+    import pyarrow.parquet as pq
+
+    from web_scraper_ray.crawl.frontier import (FRONTIER_COLUMNS, load_crawl_order,
+                                                run_crawl)
+
+    res_full, order_full = budget_result
+    m_order, m_seen = budget_model
+    src = res_full.checkpoint_dir
+    assert not [n for n in os.listdir(src) if n.startswith("admitted_")]
+    prefixes = {"cut": ("frontier_0000", "frontier_0001", "frontier_0002",
+                        "output_0000", "output_0001", "manifest_0000",
+                        "manifest_0001"),
+                "round0": ("frontier_0000", "frontier_0001", "output_0000",
+                           "manifest_0000")}
+    for name, keep in prefixes.items():
+        dst = tmp_path / name
+        os.makedirs(dst)
+        for entry in os.listdir(src):
+            if entry.startswith(keep):
+                (shutil.copytree if os.path.isdir(os.path.join(src, entry))
+                 else shutil.copy)(os.path.join(src, entry), dst / entry)
+        for stale in (False, True):
+            if stale:
+                os.makedirs(dst / "admitted_0001")
+                pq.write_table(pq.read_table(dst / "frontier_0001",
+                                             columns=FRONTIER_COLUMNS),
+                               dst / "admitted_0001" / "part-0.parquet")
+            res = run_crawl(f"{small_corpus}/pages", f"{small_corpus}/seeds.parquet",
+                            str(dst), robots_path=f"{small_corpus}/robots.parquet",
+                            config=BUDGET_CFG, resume=True)
+            order = load_crawl_order(str(dst))
+            assert _order_rows(order) == _order_rows(order_full), (name, stale)
+            assert _order_rows(order) == [(r["round"], r["url"], r["vt"])
+                                          for r in m_order]
+            assert res.seen.snapshot() == m_seen
+
+
 def test_crawl_empty_and_invalid_seeds(ray_session, small_corpus, tmp_path):
     """All-invalid seed lists must terminate cleanly with zero rounds."""
     import pyarrow as pa
@@ -238,12 +305,13 @@ def test_crawl_empty_and_invalid_seeds(ray_session, small_corpus, tmp_path):
         "seed_index": pa.array([0, 1], pa.int64()),
         "url": pa.array(["not-a-url", "/relative"], pa.string()),
     })
-    sp = str(tmp_path / "bad_seeds.parquet")
-    pq.write_table(seeds, sp)
-    res = run_crawl(f"{small_corpus}/pages", sp, str(tmp_path / "ckpt"),
-                    config=CFG)
-    assert res.n_admitted == 0 and res.n_fetched == 0
-    assert len(load_crawl_order(str(tmp_path / "ckpt"))) == 0
+    for name, t in (("bad", seeds), ("empty", seeds.slice(0, 0))):
+        sp = str(tmp_path / f"{name}_seeds.parquet")
+        pq.write_table(t, sp)
+        res = run_crawl(f"{small_corpus}/pages", sp, str(tmp_path / f"ckpt_{name}"),
+                        config=CFG)
+        assert res.n_admitted == 0 and res.n_fetched == 0
+        assert len(load_crawl_order(str(tmp_path / f"ckpt_{name}"))) == 0
 
 
 def test_crawl_robots_block_all(ray_session, small_corpus, tmp_path):
@@ -363,17 +431,19 @@ def test_seed_read_plans_row_slices(ray_session, tmp_path):
     assert sorted(ds.take_all(), key=key) == sorted(want.to_pylist(), key=key)
 
 
-def test_crawl_order_ds_matches_dataframe(engine_result):
+def test_crawl_order_ds_matches_dataframe(engine_result, budget_result):
     """The distributed crawl-order Dataset equals the driver-side
-    DataFrame helper row for row."""
+    DataFrame helper row for row, also on a checkpoint whose round 1 a
+    budget cut."""
     from web_scraper_ray.crawl.frontier import crawl_order_ds
 
-    res, order_df = engine_result
-    ds = crawl_order_ds(res.checkpoint_dir)
-    got = ds.to_pandas()
-    assert list(got["url"]) == list(order_df["url"])
-    assert list(got["vt"]) == list(order_df["vt"])
-    assert list(got["round"]) == list(order_df["round"])
+    for res, order_df in (engine_result, budget_result):
+        ds = crawl_order_ds(res.checkpoint_dir)
+        got = ds.to_pandas()
+        assert list(got["url"]) == list(order_df["url"])
+        assert list(got["vt"]) == list(order_df["vt"])
+        assert list(got["round"]) == list(order_df["round"])
+    assert len(budget_result[1]) == BUDGET_CFG.max_pages
 
 
 def _range_join_crawl(small_corpus, ckpt, idx_dir):
@@ -592,86 +662,98 @@ def test_hash_index_prunes_row_groups(ray_session, small_corpus, tmp_path):
         os.path.basename(p) for p in (rebuilt, other, urls_only))
 
 
-def test_live_fetch_mode_parity(ray_session, small_corpus, tmp_path_factory,
-                                engine_result, model_result):
-    """A ``fetcher_cls`` (actor-pool fetcher, NO corpus join — the real
-    deployment shape) with the deterministic corpus-backed fetcher
-    produces the identical crawl to the corpus range join; a rate
-    limiter on a virtual clock binds politeness without changing the
-    crawl (vt ordering is admission-side, throttling is runtime-side)."""
-    import ray
-
+def _live_crawl(small_corpus, ckpt, cfg, limiter=None, sleep=None):
     from web_scraper_ray.crawl.frontier import load_crawl_order, run_crawl
-    from web_scraper_ray.crawl.ratelimit import (
-        RateLimiter, VirtualClock, clock_fns,
-    )
-    from web_scraper_ray.crawl.robots import RobotsRules
     from web_scraper_ray.stages.fetch import CorpusFetcher
 
-    _, order_bc = engine_result
-    for with_limiter in (False, True):
-        cfg = CrawlConfig(max_depth=2, seen_shards=4, fetch_concurrency=2)
-        ckpt = str(tmp_path_factory.mktemp(f"ckpt_live_{with_limiter}"))
-        limiter = sleep = None
-        if with_limiter:
-            clock = ray.remote(VirtualClock).options(num_cpus=0).remote()
-            now, sleep = clock_fns(clock)
-            rules = RobotsRules({}, {}, default_delay_ms=5)
-            limiter = RateLimiter(rules, n_shards=2, burst=4, clock=now)
-        res = run_crawl(
-            f"{small_corpus}/pages", f"{small_corpus}/seeds.parquet", ckpt,
-            robots_path=f"{small_corpus}/robots.parquet", config=cfg,
-            rate_limiter=limiter, fetcher_cls=CorpusFetcher,
-            fetcher_kwargs=dict({"pages_path": f"{small_corpus}/pages"},
-                                **({"sleep": sleep} if with_limiter else {})),
-        )
-        order = load_crawl_order(ckpt)
-        assert list(zip(order["round"], order["url"], order["vt"])) == list(
-            zip(order_bc["round"], order_bc["url"], order_bc["vt"])
-        ), f"with_limiter={with_limiter}"
-        assert res.seen.snapshot() == model_result[1]
-
-
-def test_live_requeue_mode_parity(ray_session, small_corpus, tmp_path_factory,
-                                  engine_result, model_result):
-    """CrawlConfig.live_requeue: the NON-BLOCKING defer/requeue fetch
-    loop (one slow host re-queues instead of idling its pool actor),
-    reached from the frontier engine, still produces the byte-identical
-    crawl — with per-host delays 10x apart on a virtual clock, so the
-    requeue path is genuinely exercised (burst=1 forces deferrals)."""
-    import ray
-
-    from web_scraper_ray.crawl.frontier import load_crawl_order, run_crawl
-    from web_scraper_ray.crawl.ratelimit import (
-        RateLimiter, VirtualClock, clock_fns,
-    )
-    from web_scraper_ray.crawl.robots import RobotsRules
-    from web_scraper_ray.stages.fetch import CorpusFetcher
-
-    _, order_bc = engine_result
-    clock = ray.remote(VirtualClock).options(num_cpus=0).remote()
-    now, sleep = clock_fns(clock)
-    # two delay classes 10x apart: slow hosts' deferred rows must not
-    # block fast hosts' (the requeue loop drains them independently)
-    hosts = sorted({h for h in order_bc["host"]})
-    delays = {h: (100 if i % 2 else 10) for i, h in enumerate(hosts)}
-    rules = RobotsRules({}, delays, default_delay_ms=10)
-    limiter = RateLimiter(rules, n_shards=2, burst=1, clock=now)
-    cfg = CrawlConfig(max_depth=2, seen_shards=4, fetch_concurrency=2,
-                      live_requeue=True)
-    ckpt = str(tmp_path_factory.mktemp("ckpt_live_requeue"))
     res = run_crawl(
         f"{small_corpus}/pages", f"{small_corpus}/seeds.parquet", ckpt,
         robots_path=f"{small_corpus}/robots.parquet", config=cfg,
         rate_limiter=limiter, fetcher_cls=CorpusFetcher,
-        fetcher_kwargs={"pages_path": f"{small_corpus}/pages", "sleep": sleep},
+        fetcher_kwargs=dict({"pages_path": f"{small_corpus}/pages"},
+                            **({"sleep": sleep} if sleep else {})),
     )
-    order = load_crawl_order(ckpt)
-    assert list(zip(order["round"], order["url"], order["vt"])) == list(
-        zip(order_bc["round"], order_bc["url"], order_bc["vt"])
+    assert not [n for n in os.listdir(ckpt) if n.startswith("admitted_")]
+    return res, load_crawl_order(ckpt)
+
+
+def test_live_fetch_mode_parity(ray_session, small_corpus, tmp_path_factory,
+                                engine_result, model_result, budget_result,
+                                budget_model):
+    """A ``fetcher_cls`` (actor-pool fetcher, NO corpus join — the real
+    deployment shape) with the deterministic corpus-backed fetcher
+    produces the identical crawl to the corpus range join, unbounded and
+    under ``max_pages=12`` (it fetches only the cut round's rows up to
+    the cutoff). No checkpoint holds an ``admitted_*`` copy."""
+    for cfg, (res_rj, order_rj), (_, m_seen) in (
+            (CFG, engine_result, model_result),
+            (BUDGET_CFG, budget_result, budget_model)):
+        cfg = dataclasses.replace(cfg, fetch_concurrency=2)
+        ckpt = str(tmp_path_factory.mktemp(f"ckpt_live_{cfg.max_pages}"))
+        res, order = _live_crawl(small_corpus, ckpt, cfg)
+        assert _order_rows(order) == _order_rows(order_rj), cfg.max_pages
+        assert res.seen.snapshot() == m_seen
+        assert (res.n_admitted, res.n_fetched) == (res_rj.n_admitted,
+                                                   res_rj.n_fetched)
+
+
+def test_live_requeue_mode_parity(ray_session, small_corpus, tmp_path_factory,
+                                  engine_result, model_result, budget_result,
+                                  budget_model):
+    """A live crawl behind a ``RateLimiter`` on a virtual clock, with
+    per-host delays 10x apart and burst=1 so every host throttles (the
+    pool's ``ThrottledFetcher`` sleeps on the clock), still produces the
+    byte-identical crawl, unbounded and under ``max_pages=12``:
+    politeness binds at runtime, vt ordering is admission-side."""
+    import ray
+
+    from web_scraper_ray.crawl.ratelimit import (
+        RateLimiter, VirtualClock, clock_fns,
     )
-    assert res.seen.snapshot() == model_result[1]
-    assert float(ray.get(clock.now.remote())) > 0.0  # deferrals happened
+
+    hosts = sorted(set(engine_result[1]["host"]))
+    delays = {h: (100 if i % 2 else 10) for i, h in enumerate(hosts)}
+    for cfg, (res_rj, order_rj), (_, m_seen) in (
+            (CFG, engine_result, model_result),
+            (BUDGET_CFG, budget_result, budget_model)):
+        cfg = dataclasses.replace(cfg, fetch_concurrency=2)
+        clock = ray.remote(VirtualClock).options(num_cpus=0).remote()
+        now, sleep = clock_fns(clock)
+        limiter = RateLimiter(RobotsRules({}, delays, default_delay_ms=10),
+                              n_shards=2, burst=1, clock=now)
+        ckpt = str(tmp_path_factory.mktemp(f"ckpt_live_limit_{cfg.max_pages}"))
+        res, order = _live_crawl(small_corpus, ckpt, cfg, limiter, sleep)
+        assert _order_rows(order) == _order_rows(order_rj), cfg.max_pages
+        assert res.seen.snapshot() == m_seen
+        assert (res.n_admitted, res.n_fetched) == (res_rj.n_admitted,
+                                                   res_rj.n_fetched)
+        assert float(ray.get(clock.now.remote())) > 0.0  # throttling happened
+
+
+def test_budget_cut_matches_in_memory_sort(ray_session, tmp_path):
+    """``_budget_cut`` over 16 runs read as several blocks returns the
+    k-th smallest ORDER_KEYS tuple, for k from 1 to all rows but one."""
+    import pyarrow as pa
+
+    from web_scraper_ray.crawl import frontier
+
+    n = 20_800
+    t = pa.table({"url": [f"https://h{i % 23}.example/{i}" for i in range(n)],
+                  "host": [f"h{i % 23}.example" for i in range(n)],
+                  "priority": [i % 3 for i in range(n)],
+                  "pvt": [float(i % 5) for i in range(n)],
+                  "pli": [i % 7 for i in range(n)],
+                  "vt": [100.0 * (i % 11) for i in range(n)]})
+    ckpt = str(tmp_path)
+    os.makedirs(frontier._frontier_dir(ckpt, 0))
+    for b in range(16):
+        frontier._write_run(t.slice(b * n // 16, n // 16), ckpt, 0, b)
+    runs = frontier._parquet_files(frontier._frontier_dir(ckpt, 0))
+    assert frontier._read_runs(runs, frontier.ORDER_KEYS, None
+                               ).materialize().num_blocks() >= 2
+    order = sorted(zip(*(t[c].to_pylist() for c in frontier.ORDER_KEYS)))
+    for k in (1, 7, 9_000, n - 1):
+        assert frontier._budget_cut(runs, k) == list(order[k - 1]), k
 
 
 def test_url_gate_screens_all_rounds(ray_session, small_corpus,

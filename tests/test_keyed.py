@@ -282,9 +282,8 @@ def test_crawl_frontier_starts_no_actor():
                 "SeenSet", "SeenShard", "KeyTable"):
             found.append(f"{node.id} at line {node.lineno}")
     assert found == []
-    # the round's admitted set is never broadcast: the object-store load
-    # of the admitted table and every ray.put serve only the requeue
-    # fetch, which re-attaches the frontier metadata after the fetch
+    # the round's admitted set is never broadcast or loaded whole: no
+    # object-store load of an admitted table and no ray.put anywhere
     uses = []
     for fn in tree.body:
         for node in ast.walk(fn):
@@ -292,7 +291,7 @@ def test_crawl_frontier_starts_no_actor():
                     or (isinstance(node, ast.Call)
                         and ast.unparse(node.func) == "ray.put")):
                 uses.append(getattr(fn, "name", "<module>"))
-    assert set(uses) <= {"_live_requeue_fetch"}
+    assert uses == []
 
 
 def test_crawl_admission_is_arrow_native():
@@ -315,3 +314,21 @@ def test_crawl_admission_is_arrow_native():
     assert formats == ["'pyarrow'", "'pyarrow'"]
     assert not [n for n in ast.walk(fns["_seed_candidates"])
                 if isinstance(n, ast.Attribute) and n.attr == "read_parquet"]
+
+
+def test_crawl_reads_are_footer_planned():
+    """Round r's admitted rows have one definition, frontier r's runs up
+    to the manifest's cutoff: crawl/frontier.py calls no
+    ``read_parquet`` (every Dataset read of seeds or runs is planned from
+    footers), and ``CrawlConfig`` has no ``live_requeue`` mode knob (a
+    live crawl has one fetch pool, with or without a rate limiter)."""
+    import dataclasses
+
+    from web_scraper_ray.crawl.config import CrawlConfig
+
+    path = (pathlib.Path(__file__).resolve().parents[1] / "web_scraper_ray"
+            / "crawl" / "frontier.py")
+    sites = [n.lineno for n in ast.walk(ast.parse(path.read_text()))
+             if isinstance(n, ast.Attribute) and n.attr == "read_parquet"]
+    assert sites == []
+    assert "live_requeue" not in {f.name for f in dataclasses.fields(CrawlConfig)}

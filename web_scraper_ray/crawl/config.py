@@ -31,13 +31,6 @@ class CrawlConfig:
     # pool: its width and rows per fetch call
     fetch_concurrency: int = 4
     fetch_batch_size: int = 64
-    # fetcher_cls + rate_limiter: use the NON-BLOCKING defer/requeue loop
-    # (stages/fetch.py:fetch_with_requeue) — throttled rows come back
-    # as status='deferred' and re-enter the next admission round, so
-    # one slow host never idles a pool actor or stalls co-resident
-    # hosts (the blocking wave loop it replaces slept the whole actor).
-    # Ignored without a rate_limiter (nothing to defer on).
-    live_requeue: bool = False
     # URL pre-fetch quality gate (ops/urlgate.py — RefinedWeb §3.1):
     # kwargs for url_gate_frame (blocked_hosts / banned_tokens /
     # max_len / max_depth / max_digit_pct), applied to every CANDIDATE

@@ -54,24 +54,27 @@ frontier k reads the bucket's runs of rounds < k and:
   it reads only earlier runs, so a retried task rewrites the same file.
 
 Checkpoint/resume (north rule): every round writes ``output_r`` +
-``frontier_{r+1}`` (+ ``admitted_r`` under a budget cut), then an
-atomically-renamed ``manifest_r.json`` of scalars only: row counts,
-totals, the bucket count, the cutoff. Resume continues at the first
-round without a manifest from the runs on disk, reusing the recorded
-bucket count. Readers list ``*.parquet`` only, so a stray ``*.tmp`` is
-inert.
+``frontier_{r+1}``, then an atomically-renamed ``manifest_r.json`` of
+scalars only: row counts, totals, the bucket count, the cutoff. Round
+r's admitted rows are frontier r's runs, only those up to the cutoff if
+a budget truncated it: no other copy exists. Resume continues at the
+first round without a manifest from the runs on disk, reusing the
+recorded bucket count. Readers list ``*.parquet`` only, so a stray
+``*.tmp`` is inert.
 
 Driver-state discipline (the 10^10-frontier contract): the round loop
 never materializes a round in one process and holds scalars only —
-frontier row counts come from parquet FOOTER METADATA; the seed read is
-planned from the seed files' footers too (row-group slices, no
-sampling task for the driver to wait on); budget truncation is a
-distributed ``sort(ORDER_KEYS).limit(K)`` whose cutoff a Ray task
-computes; the frontier's (priority, vt, pvt, pli) ride the fetch-join
-as COLUMNS into discovery (no url→meta dict); per-host politeness bases
-are read inside the bucket tasks, and the robots rules are loaded by a
-Ray task, never on the driver. The only driver ``ray.get`` is the
-budget cutoff (tests/test_keyed.py guards this).
+frontier row counts come from parquet FOOTER METADATA; every Dataset
+read of seeds or runs is planned from footers too (row-group slices,
+no sampling task for the driver to wait on, :func:`_planned_read`);
+budget truncation is a distributed ``sort(ORDER_KEYS).limit(K)`` that
+keeps one row per sorted block, the block's last, and a Ray task takes
+the cutoff as their maximum, so no task holds the admitted rows; the
+frontier's (priority, vt, pvt, pli) ride the fetch as COLUMNS into
+discovery (no url→meta dict); per-host politeness bases are read inside
+the bucket tasks, and the robots rules are loaded by a Ray task, never
+on the driver. The only driver ``ray.get`` is the budget cutoff
+(tests/test_keyed.py guards this).
 
 Scale notes (10^10 frontier, SURVEY.md §7):
 * The fetch-join is one range merge-join. ``sources/hashindex.py``
@@ -244,57 +247,80 @@ def _push_candidate(rows: dict, canon: str, priority: int, pvt: float, pli: int,
     rows["bucket"].append(url_hash64(host) % n_buckets)
 
 
-def _seed_candidates(seeds_path: str, robots_ref, config: CrawlConfig,
-                     n_buckets: int) -> ray.data.Dataset:
-    # Size the seed read by FOOTER row count: Ray's default parallelism
-    # splits even a few-MB seed table into ~2 blocks/CPU, and the seed
-    # round (the only execution with no corpus scan to hide behind) then
-    # pays pure dispatch tax — 64 map + 64 sort-reduce tasks whose
-    # remote work is milliseconds (measured 5.7s -> 1.8s at 42k seeds,
-    # 32 CPUs). ~8k rows/block keeps one block per task worth of real
-    # work; huge seed tables still fan out to 2 blocks/CPU. The plan is
-    # (file, row group, row slice) items, a row group larger than a
-    # block's share cut into slices: ``read_parquet`` would first block
-    # the driver on a remote fragment-sampling task (0.47-0.65 s stalls
-    # seen on a 1-CPU host). Block count is physical granularity only —
-    # crawl bytes are parallelism-independent (tests/test_crawl.py
-    # cross-parallelism gates).
-    files = _parquet_files(seeds_path) if os.path.isdir(seeds_path) else [seeds_path]
+def _planned_read(files: list, columns: list, fn, block_rows: int = 8192,
+                  max_blocks: Optional[int] = None) -> Optional[ray.data.Dataset]:
+    """``fn`` over row slices of the ``columns`` of ``files`` (a column a
+    file lacks is left out), in a read planned from the files' footers
+    alone: ``(file, rg, lo, hi)`` items, ``max(1, min(max_blocks,
+    ⌈rows / block_rows⌉))`` blocks (default cap 2×CPU), a row group larger
+    than a block's share cut into slices. No row is read and no sampling
+    task runs on the driver's behalf, as Ray Data's parquet datasource
+    would (0.47-0.65 s stalls seen on a 1-CPU host). Only the plan's size
+    follows the cluster, so bytes are parallelism-independent. ``None``
+    when the files hold no row."""
     groups = [(f, g, md.row_group(g).num_rows) for f in files
               for md in [pq.read_metadata(f)] for g in range(md.num_row_groups)]
     n_rows = sum(n for _, _, n in groups)
-    blocks = max(1, min(2 * (_cpus() or 32), -(-n_rows // 8192)))
+    if not n_rows:
+        return None
+    blocks = max(1, min(max_blocks or 2 * (_cpus() or 32), -(-n_rows // block_rows)))
     share = -(-n_rows // blocks)
     items = [{"file": f, "rg": g, "lo": i * n // cuts, "hi": (i + 1) * n // cuts}
              for f, g, n in groups for cuts in [-(-n // share)] for i in range(cuts)]
-    if not items:
-        return ray.data.from_arrow(_candidate_table(_new_rows()))
 
-    def to_cands(batch: pa.Table):
-        robots: RobotsRules = ray.get(robots_ref)
+    def read(batch: pa.Table):
         for f, g, lo, hi in zip(*(batch[c].to_pylist() for c in ("file", "rg", "lo", "hi"))):
             with pq.ParquetFile(f) as pf:
-                cols = [c for c in ("url", "seed_index", "priority")
-                        if c in pf.schema_arrow.names]
-                seeds = pf.read_row_group(g, columns=cols).slice(lo, hi - lo)
-            pris = (seeds["priority"].to_pylist() if "priority" in cols
-                    else [0] * seeds.num_rows)
-            rows = _new_rows()
-            for url, sidx, pri in zip(seeds["url"].to_pylist(),
-                                      seeds["seed_index"].to_pylist(), pris):
-                if not is_valid_url(url):
-                    continue
-                canon = canonicalize_url(url)
-                if matches_ignore_patterns(canon, config.ignore_patterns):
-                    continue
-                if config.respect_robots and not robots.is_allowed(canon):
-                    continue
-                _push_candidate(rows, canon, int(pri), -1.0, int(sidx), 0, -1.0, 0, "",
-                                n_buckets)
-            yield _candidate_table(rows)
+                cols = [c for c in columns if c in pf.schema_arrow.names]
+                t = pf.read_row_group(g, columns=cols).slice(lo, hi - lo)
+            yield fn(t)
 
     return ray.data.from_items(items, override_num_blocks=min(blocks, len(items))
-                               ).map_batches(to_cands, batch_format="pyarrow", batch_size=1)
+                               ).map_batches(read, batch_format="pyarrow", batch_size=1)
+
+
+def _read_runs(files: list, columns: list, cutoff: Optional[list],
+               **plan) -> ray.data.Dataset:
+    """``columns`` of the frontier runs ``files`` (non-empty), read by
+    :func:`_planned_read` (``plan``: its block sizing). With the
+    ``cutoff`` of a round a budget truncated, only its admitted rows,
+    those up to the cutoff, are kept, inside the read task (``columns``
+    must hold ORDER_KEYS)."""
+    return _planned_read(files, columns, (lambda t: t) if cutoff is None
+                         else (lambda t: t.filter(_le_cutoff(t, cutoff))), **plan)
+
+
+def _seed_candidates(seeds_path: str, robots_ref, config: CrawlConfig,
+                     n_buckets: int) -> ray.data.Dataset:
+    # Size the seed read by FOOTER row count (_planned_read): Ray's
+    # default parallelism splits even a few-MB seed table into ~2
+    # blocks/CPU, and the seed round (the only execution with no corpus
+    # scan to hide behind) then pays pure dispatch tax — 64 map + 64
+    # sort-reduce tasks whose remote work is milliseconds (measured 5.7s
+    # -> 1.8s at 42k seeds, 32 CPUs). ~8k rows/block keeps one block per
+    # task worth of real work; huge seed tables still fan out to 2
+    # blocks/CPU.
+    def to_cands(seeds: pa.Table) -> pa.Table:
+        robots: RobotsRules = ray.get(robots_ref)
+        pris = (seeds["priority"].to_pylist() if "priority" in seeds.column_names
+                else [0] * seeds.num_rows)
+        rows = _new_rows()
+        for url, sidx, pri in zip(seeds["url"].to_pylist(),
+                                  seeds["seed_index"].to_pylist(), pris):
+            if not is_valid_url(url):
+                continue
+            canon = canonicalize_url(url)
+            if matches_ignore_patterns(canon, config.ignore_patterns):
+                continue
+            if config.respect_robots and not robots.is_allowed(canon):
+                continue
+            _push_candidate(rows, canon, int(pri), -1.0, int(sidx), 0, -1.0, 0, "",
+                            n_buckets)
+        return _candidate_table(rows)
+
+    files = _parquet_files(seeds_path) if os.path.isdir(seeds_path) else [seeds_path]
+    ds = _planned_read(files, ["url", "seed_index", "priority"], to_cands)
+    return ds if ds is not None else ray.data.from_arrow(_candidate_table(_new_rows()))
 
 
 def _link_candidates(
@@ -505,12 +531,27 @@ def _load_robots(robots_path: Optional[str], default_delay_ms: int) -> RobotsRul
 
 
 @ray.remote(num_cpus=0)
-def _budget_cutoff(files: list) -> list:
+def _budget_cutoff(*lasts: pa.Table) -> list:
     """ORDER_KEYS tuple of the last row a budget admitted: the maximum
-    of the truncated round's admitted rows (url makes it a total order)."""
-    t = pq.read_table(files, columns=ORDER_KEYS)
-    t = t.sort_by([(c, "descending") for c in ORDER_KEYS]).slice(0, 1)
+    of the last rows of the sorted, limited blocks (:func:`_budget_cut`;
+    url makes ORDER_KEYS a total order)."""
+    t = pa.concat_tables([t for t in lasts if t.num_rows])
+    t = t.sort_by([(c, "descending") for c in ORDER_KEYS])
     return [t[c][0].as_py() for c in ORDER_KEYS]
+
+
+def _budget_cut(runs: list, k: int) -> list:
+    """Cutoff of a round a budget of ``k`` pages truncates: the k-th
+    smallest ORDER_KEYS tuple of its runs. A DISTRIBUTED
+    ``sort(ORDER_KEYS).limit(k)`` keeps only the last row of each sorted
+    block, and :func:`_budget_cutoff` takes their maximum: no task holds
+    the admitted rows and nothing is written (the round's admitted rows
+    are its runs' rows up to the cutoff)."""
+    lasts = (_read_runs(runs, ORDER_KEYS, None).sort(ORDER_KEYS).limit(k)
+             .map_batches(lambda t: t.slice(max(t.num_rows - 1, 0)),
+                          batch_format="pyarrow", batch_size=None)
+             .to_arrow_refs())
+    return ray.get(_budget_cutoff.remote(*lasts))
 
 
 # --------------------------------------------------------------------------
@@ -576,14 +617,6 @@ def _range_fetch_join(layout: str, runs: list, cutoff: Optional[list]) -> ray.da
         join, batch_format="pyarrow", batch_size=1)
 
 
-@ray.remote(num_cpus=0)
-def _load_admitted(adm_files: list) -> pa.Table:
-    """The admitted table (url + META_COLUMNS, no html), loaded by a Ray
-    TASK so it lands in the shared-memory object store, never on the
-    driver; the requeue fetch re-attaches META_COLUMNS from it."""
-    return pq.read_table(adm_files, columns=["url"] + META_COLUMNS)
-
-
 def _batch_name(urls: pa.ChunkedArray) -> str:
     """Content-derived file stem of one batch: a retried task writes
     the same name and overwrites instead of duplicating."""
@@ -636,17 +669,21 @@ class _MetaCarryingFetcher:
         return fetched.filter(keep)
 
 
-def _live_fetch(adm_files: list, config: CrawlConfig, fetcher_cls,
-                fetcher_kwargs: Optional[dict], rate_limiter,
+def _live_fetch(runs: list, cutoff: Optional[list], config: CrawlConfig,
+                fetcher_cls, fetcher_kwargs: Optional[dict], rate_limiter,
                 errors_dir: str) -> ray.data.Dataset:
-    """Live fetch path (run_crawl's ``fetcher_cls``): the admitted
-    frontier is READ as a Dataset and streamed straight into the fetch
-    actor pool — no corpus join exists at all. With ``CorpusFetcher``
-    this is byte-identical to the corpus join
+    """Live fetch path (run_crawl's ``fetcher_cls``, no corpus join): the
+    round's admitted rows (:func:`_read_runs`, about two blocks per pool
+    actor, or one actor would get them all) stream into a
+    :class:`_MetaCarryingFetcher` actor pool with META_COLUMNS riding
+    along, optionally behind ``rate_limiter``. With ``CorpusFetcher``
+    this equals the corpus join byte for byte
     (test_live_fetch_mode_parity); with ``HttpFetcher`` +
-    ``rate_limiter`` it is the real deployment.
-    Un-fetched rows land in ``errors_dir`` (see _record_lost)."""
-    adm = ray.data.read_parquet(adm_files, columns=["url"] + META_COLUMNS)
+    ``rate_limiter`` it is the real deployment. Un-fetched rows land in
+    ``errors_dir`` (see _record_lost)."""
+    adm = _read_runs(runs, ["url"] + META_COLUMNS, cutoff,
+                     block_rows=config.fetch_batch_size,
+                     max_blocks=2 * config.fetch_concurrency)
     return adm.map_batches(
         _MetaCarryingFetcher,
         batch_format="pyarrow",
@@ -659,43 +696,6 @@ def _live_fetch(adm_files: list, config: CrawlConfig, fetcher_cls,
     )
 
 
-def _live_requeue_fetch(adm_files: list, config: CrawlConfig, fetcher_cls,
-                        fetcher_kwargs: Optional[dict], rate_limiter,
-                        errors_dir: str) -> ray.data.Dataset:
-    """Live fetch via the NON-BLOCKING defer/requeue loop
-    (``CrawlConfig.live_requeue``): each admission round fetches every
-    currently-grantable row and re-queues throttled ones, so hosts
-    drain independently (stages/fetch.py:fetch_with_requeue — a slow
-    host's tokens never idle a pool actor). The frontier's ordering
-    metadata is re-attached afterwards by an ``index_in`` lookup
-    against the admitted table in the object store (_load_admitted) —
-    legal because the admitted url set is exactly the fetch input.
-    Un-fetched (miss/error) rows land in ``errors_dir`` under the same
-    never-drop policy as the blocking path."""
-    from ..stages.fetch import fetch_with_requeue
-
-    kwargs = dict(fetcher_kwargs or {})
-    sleep = kwargs.pop("sleep", None)  # injectable clock (tests)
-    adm_urls = ray.data.read_parquet(adm_files, columns=["url"])
-    fetched, _rounds = fetch_with_requeue(
-        adm_urls, fetcher_cls=fetcher_cls, limiter=rate_limiter,
-        sleep=sleep, concurrency=config.fetch_concurrency,
-        batch_size=config.fetch_batch_size, **kwargs)
-    adm_ref = _load_admitted.remote(adm_files)
-
-    def attach_meta(batch: pa.Table) -> pa.Table:
-        sel = batch.filter(_record_lost(batch, errors_dir))
-        adm: pa.Table = ray.get(adm_ref)  # zero-copy plasma read
-        idx = pc.index_in(sel["url"], value_set=adm["url"])
-        meta = adm.take(idx)
-        out = {"url": sel["url"], "html": sel["html"]}
-        for c in META_COLUMNS:
-            out[c] = meta[c]
-        return pa.table(out)
-
-    return fetched.map_batches(attach_meta, batch_format="pyarrow")
-
-
 def _extract_with_meta(batch: pa.Table) -> pa.Table:
     """Extraction kernel with the frontier metadata columns riding
     through (extract_batch is 1:1 and order-preserving)."""
@@ -706,7 +706,7 @@ def _extract_with_meta(batch: pa.Table) -> pa.Table:
 
 
 def _fetch_and_extract(
-    pages_path: str, ckpt: str, round_no: int, adm_dir: str, odir: str,
+    pages_path: str, ckpt: str, round_no: int, odir: str,
     cutoff: Optional[list], config: CrawlConfig,
     fetcher_cls=None, fetcher_kwargs: Optional[dict] = None,
     rate_limiter=None,
@@ -718,10 +718,10 @@ def _fetch_and_extract(
     runs, sorted by ``uh = hash64_str(url)``, with the corpus layout of
     ``sources/hashindex.py``, keyed by the same hash (built once per
     corpus under ``config.index_dir``, default a ``pages_hidx`` sibling
-    of the pages dir). A round a budget truncated joins only its rows up
-    to ``cutoff``. With ``fetcher_cls`` there is no corpus join: the
-    admitted table (``adm_dir``) feeds an actor-pool fetcher, optionally
-    behind ``rate_limiter`` (the live deployment shape).
+    of the pages dir). A round a budget truncated fetches only its rows
+    up to ``cutoff``. With ``fetcher_cls`` there is no corpus join: the
+    admitted rows feed an actor-pool fetcher, optionally behind
+    ``rate_limiter`` (:func:`_live_fetch`, the live deployment shape).
 
     Either way the frontier's ordering metadata (META_COLUMNS) rides the
     fetched rows as columns, so extraction and discovery need no
@@ -732,21 +732,17 @@ def _fetch_and_extract(
     stages — one execution per round, with fetch, extraction, the write
     and discovery all overlapped by the streaming executor."""
     _reset_dir(odir)  # crashed-attempt leftovers
-    errors_dir = os.path.join(odir, "errors")
+    runs = _parquet_files(_frontier_dir(ckpt, round_no))
     if fetcher_cls is None:
         layout = build_hash_index(
             pages_path, "url",
             config.index_dir or os.path.join(
                 os.path.dirname(pages_path.rstrip("/")) or ".", "pages_hidx"),
             columns=["url", "html"], rows_per_group=LAYOUT_GROUP_ROWS)
-        fetched = _range_fetch_join(
-            layout, _parquet_files(_frontier_dir(ckpt, round_no)), cutoff)
-    elif config.live_requeue and rate_limiter is not None:
-        fetched = _live_requeue_fetch(_parquet_files(adm_dir), config, fetcher_cls,
-                                      fetcher_kwargs, rate_limiter, errors_dir)
+        fetched = _range_fetch_join(layout, runs, cutoff)
     else:
-        fetched = _live_fetch(_parquet_files(adm_dir), config, fetcher_cls,
-                              fetcher_kwargs, rate_limiter, errors_dir)
+        fetched = _live_fetch(runs, cutoff, config, fetcher_cls, fetcher_kwargs,
+                              rate_limiter, os.path.join(odir, "errors"))
     extracted = fetched.map_batches(_extract_with_meta, batch_format="pyarrow",
                                     batch_size=256)
     return _write_and_slim_stage(extracted, round_no, odir)
@@ -794,6 +790,11 @@ def _manifest_path(ckpt: str, r: int) -> str:
     return os.path.join(ckpt, f"manifest_{r:04d}.json")
 
 
+def _read_manifest(ckpt: str, r: int) -> dict:
+    with open(_manifest_path(ckpt, r)) as f:
+        return json.load(f)
+
+
 def _write_manifest(ckpt: str, r: int, payload: dict) -> None:
     tmp = _manifest_path(ckpt, r) + ".tmp"
     with open(tmp, "w") as f:
@@ -823,13 +824,6 @@ def _parquet_files(path: str) -> list[str]:
             if f.endswith(".parquet")]
 
 
-def _round_files(ckpt: str, r: int) -> list[str]:
-    """Round ``r``'s admitted rows: ``admitted_r`` when a budget
-    truncated the round, else frontier ``r``."""
-    return (_parquet_files(os.path.join(ckpt, f"admitted_{r:04d}"))
-            or _parquet_files(_frontier_dir(ckpt, r)))
-
-
 def _dir_num_rows(path: str) -> int:
     """Row count from parquet FOOTER metadata only — no data is read,
     no table is materialized (the 10^10-frontier discipline)."""
@@ -837,15 +831,17 @@ def _dir_num_rows(path: str) -> int:
 
 
 def crawl_order_ds(checkpoint_dir: str) -> "ray.data.Dataset":
-    """The crawl ordering as a (distributed) Dataset: per-round admitted
-    tables, sorted by the deterministic order key — the scale-path twin
-    of :func:`load_crawl_order` (which materializes a DataFrame for
-    tests/inspection)."""
+    """The crawl ordering as a (distributed) Dataset: each complete
+    round's admitted rows (its frontier runs, up to the manifest's
+    cutoff if a budget truncated it), sorted by the deterministic order
+    key — the scale-path twin of :func:`load_crawl_order` (which
+    materializes a DataFrame for tests/inspection)."""
     parts = []
     for r in _complete_rounds(checkpoint_dir):
-        files = _round_files(checkpoint_dir, r)
+        files = _parquet_files(_frontier_dir(checkpoint_dir, r))
         if files:
-            ds = ray.data.read_parquet(files, columns=FRONTIER_COLUMNS)
+            ds = _read_runs(files, FRONTIER_COLUMNS,
+                            _read_manifest(checkpoint_dir, r)["cutoff"])
             ds = ds.map_batches(
                 lambda t, _r=r: t.append_column(
                     "round", pa.array([_r] * t.num_rows, pa.int64())
@@ -862,15 +858,17 @@ def crawl_order_ds(checkpoint_dir: str) -> "ray.data.Dataset":
 
 
 def load_crawl_order(checkpoint_dir: str) -> pd.DataFrame:
-    """The deterministic crawl ordering: admitted tables sorted by
-    (round, vt, priority, pvt, pli, url). Driver-side (test/inspection
-    helper); at scale consume the per-round parquet as a Dataset."""
+    """The deterministic crawl ordering: each complete round's admitted
+    rows (as in :func:`crawl_order_ds`) sorted by (round, vt, priority,
+    pvt, pli, url). Driver-side (test/inspection helper); at scale use
+    :func:`crawl_order_ds`."""
     frames = []
     for r in _complete_rounds(checkpoint_dir):
-        files = _round_files(checkpoint_dir, r)
-        tbl = pq.read_table(files, columns=FRONTIER_COLUMNS) if files else None
-        if tbl is not None and tbl.num_rows:
-            df = tbl.to_pandas()
+        files = _parquet_files(_frontier_dir(checkpoint_dir, r))
+        if files:
+            tbl = pq.read_table(files, columns=FRONTIER_COLUMNS)
+            cutoff = _read_manifest(checkpoint_dir, r)["cutoff"]
+            df = (tbl if cutoff is None else tbl.filter(_le_cutoff(tbl, cutoff))).to_pandas()
             df["round"] = r
             frames.append(df)
     if not frames:
@@ -918,8 +916,7 @@ def run_crawl(
         # the runs on disk ARE the seen set and the bases: only scalars
         # come back from the manifests
         for r in done_rounds:
-            with open(_manifest_path(checkpoint_dir, r)) as f:
-                m = json.load(f)
+            m = _read_manifest(checkpoint_dir, r)
             if m["cutoff"] is not None:
                 cutoffs[r] = m["cutoff"]
         n_buckets = m["n_buckets"]  # runs are keyed by bucket
@@ -949,27 +946,19 @@ def run_crawl(
             break
         t0 = time.time()
 
-        # budget truncation: DISTRIBUTED crawl-order sort + limit
-        adm_dir, n_admitted = fdir, n_frontier
+        # budget truncation: the round admits its runs' rows up to the
+        # cutoff, and later bases count frontier r only that far
+        n_admitted = n_frontier
         if pages_budget is not None and n_frontier > pages_budget:
-            adm_dir = os.path.join(checkpoint_dir, f"admitted_{r:04d}")
-            _reset_dir(adm_dir)
-            (
-                ray.data.read_parquet(_parquet_files(fdir), columns=FRONTIER_COLUMNS)
-                .sort(ORDER_KEYS)
-                .limit(pages_budget)
-                .write_parquet(adm_dir)
-            )
-            n_admitted = _dir_num_rows(adm_dir)
-            # later bases count frontier r only up to its last admitted row
-            cutoffs[r] = ray.get(_budget_cutoff.remote(_parquet_files(adm_dir)))
+            cutoffs[r] = _budget_cut(_parquet_files(fdir), pages_budget)
+            n_admitted = pages_budget
         if pages_budget is not None:
             pages_budget -= n_admitted
 
         # ONE execution per round: fetch-join → extract (+ in-pipeline
         # output write) → discovery → fused admit → next frontier's runs
         odir = os.path.join(checkpoint_dir, f"output_{r:04d}")
-        out_slim = _fetch_and_extract(pages_path, checkpoint_dir, r, adm_dir, odir,
+        out_slim = _fetch_and_extract(pages_path, checkpoint_dir, r, odir,
                                       cutoffs.get(r), config, fetcher_cls,
                                       fetcher_kwargs, rate_limiter)
         n_next = 0
