@@ -1815,8 +1815,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         os.makedirs(dst, exist_ok=True)
         for name in os.listdir(full):
             if name.startswith(("frontier_0000", "frontier_0001",
-                                "admitted_0000", "output_0000",
-                                "manifest_0000")):
+                                "output_0000", "manifest_0000")):
                 s = os.path.join(full, name)
                 if os.path.isdir(s):
                     shutil.copytree(s, os.path.join(dst, name))

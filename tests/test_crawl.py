@@ -1056,6 +1056,36 @@ def test_seen_probe_hashes_only_candidates(tmp_path, monkeypatch):
         assert bases == {"a.example": 20, "b.example": 30}
 
 
+def test_probe_host_counts_over_cut_runs(tmp_path):
+    """The politeness bases ``_probe_runs`` returns count, per host, every
+    row of an uncut run and the rows of a budget-cut run up to its
+    cutoff. Each run's host column is its own chunk of the counted
+    array; the counts equal a Counter model."""
+    from collections import Counter
+
+    import pyarrow as pa
+
+    from web_scraper_ray.crawl import frontier
+
+    hosts = ["a.example", "b.example", "c.example"]
+    hist = [[f"https://{hosts[i % 3]}/{k}/{i}" for i in range(70 + k)] for k in range(3)]
+    ckpt = str(tmp_path)
+    runs = []
+    for k, urls in enumerate(hist):
+        os.makedirs(frontier._frontier_dir(ckpt, k))
+        frontier._write_run(_run_table(urls), ckpt, k, 3)
+        runs.append((k, frontier._run_path(ckpt, k, 3)))
+    # round 1 was cut by the budget after its 41st row in ORDER_KEYS order
+    rows1 = sorted(_run_table(hist[1]).to_pylist(),
+                   key=lambda r: [r[c] for c in frontier.ORDER_KEYS])
+    cut = [rows1[40][c] for c in frontier.ORDER_KEYS]
+    _dup, bases = frontier._probe_runs(pa.array(["https://d.example/0"]), runs, {1: cut})
+    model = Counter(u.split("/")[2] for u in hist[0] + hist[2])
+    model.update(r["host"] for r in rows1[:41])
+    assert bases == dict(model)
+    assert sum(bases.values()) == 70 + 41 + 72
+
+
 def test_resume_from_old_run_format_fails_loudly(ray_session, small_corpus,
                                                  tmp_path, engine_result):
     """A checkpoint whose frontier runs have no ``uh`` column (written

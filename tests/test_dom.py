@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from web_scraper_ray.dom import CommentNode, Node, TextNode, _scan, _TreeBuilder, parse
+from web_scraper_ray.dom import (CommentNode, Document, Node, TextNode, _scan,
+                                 _TreeBuilder, parse)
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -224,3 +225,45 @@ def test_corpus_and_fixture_pages_take_the_fast_path():
         tree = _scan(html)
         assert tree is not None, html[:200]
         assert node_stream(tree) == node_stream(reference_tree(html))
+
+
+# -- the document index --------------------------------------------------
+
+def _same_nodes(got, want):
+    return len(got) == len(want) and all(a is b for a, b in zip(got, want))
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from(SOUP), max_size=24).map("".join))
+def test_index_lists_the_fresh_tree_in_preorder(html):
+    """On both parse paths ``elements`` is ``find_all(True)`` and
+    ``comments`` the comment nodes, node for node, in document order."""
+    docs = [reference_tree(html)]
+    if _scan(html) is not None:
+        docs.append(_scan(html))
+    for doc in docs:
+        assert isinstance(doc, Document)
+        assert _same_nodes(doc.elements, doc.find_all(True))
+        assert _same_nodes(doc.comments, [n for n in doc.find_all(string=True)
+                                          if isinstance(n, CommentNode)])
+
+
+def test_holds_follows_removals():
+    doc = parse("<div><ul><li>a</li></ul><p>b<!--c--></p></div><i>d</i>")
+    div, ul, li, p, i = doc.elements
+    assert all(doc.holds(n) for n in doc.elements + doc.comments)
+    ul.decompose()
+    p.children[0].replace_with("e")
+    assert [doc.holds(n) for n in doc.elements] == [True, False, False, True, True]
+    assert doc.holds(doc.comments[0])
+    doc.comments[0].extract()
+    assert not doc.holds(doc.comments[0])
+    assert _same_nodes([n for n in doc.elements if doc.holds(n)], doc.find_all(True))
+
+
+def test_release_empties_the_tree():
+    doc = parse("<div><p>a<b>b</b></p><!--c--></div>tail")
+    els = list(doc.elements)
+    doc.release()
+    assert doc.children == [] and doc.elements == [] and doc.comments == []
+    assert all(el.children == [] for el in els)

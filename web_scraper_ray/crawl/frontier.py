@@ -432,7 +432,10 @@ def _probe_runs(urls: pa.ChunkedArray, runs: list,
                 hist = (t if cut else pf.read(columns=["url"]))["url"].take(pos)
                 dup[qi[pc.equal(hist, urls.take(qi)).to_numpy()]] = True
         hosts.append(t["host"] if cut is None else t["host"].filter(_le_cutoff(t, cut)))
-    counts = pc.value_counts(pa.chunked_array(hosts, pa.string()))
+    # the runs' chunks, not the ChunkedArrays: pa.chunked_array converts
+    # anything that is not an Array through Python objects, per value
+    chunks = [c for h in hosts for c in h.chunks]
+    counts = pc.value_counts(pa.chunked_array(chunks, pa.string()))
     return dup, dict(zip(counts.field("values").to_pylist(),
                          counts.field("counts").to_pylist()))
 

@@ -33,6 +33,24 @@ attribute value touching ``/>``) is parsed whole by ``_TreeBuilder`` on
 html.parser instead, so the tree never depends on which path ran;
 tests/test_dom.py checks the two agree on fuzzed tag soup.
 
+The document index: :func:`parse` returns a :class:`Document`, the root
+``Node`` plus two lists it fills as it builds the tree, on either path:
+``elements``, every element it created, and ``comments``, every comment.
+Nodes are created in document order, which is preorder, so both lists
+are in preorder, and the kernel reads them in place of tree walks. The
+lists are never updated after the parse, so a node the kernel removes
+stays listed, *detached*: its parent chain ends at ``None``, not at the
+document (:meth:`Document.holds`). A consumer either does work that is
+harmless on a detached node (pruning attributes, extracting a comment,
+merging spans inside a removed subtree) or checks that its node is
+still held. Order among the held nodes never changes, because the
+kernel removes elements and replaces text but never moves or creates
+an element. :meth:`Document.release` clears every listed element's
+children, the document's own and both lists; what is left holds only
+parent links, which point up, so reference counting frees the tree
+without the cyclic GC. A released document is empty; only the kernel's
+``extract_page`` releases, once it has taken everything it returns.
+
 Entity handling: ``convert_charrefs=True`` (the html.parser default, and
 what bs4's html.parser tree builder uses) — character references decode
 to text at parse time and re-escape minimally at serialization.
@@ -43,7 +61,7 @@ from __future__ import annotations
 import re
 from html import unescape
 from html.parser import HTMLParser
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 # HTML void elements (no closing tag, serialized self-closed like bs4's
 # html.parser builder renders them).
@@ -154,28 +172,14 @@ class Node:
         self.clear()
         self.append(TextNode(value))
 
-    def descendants(self) -> Iterator[AnyNode]:
-        """Document-order (preorder) iterator over all descendants."""
-        stack = list(reversed(self.children))
-        while stack:
-            node = stack.pop()
-            yield node
-            if isinstance(node, Node):
-                stack.extend(reversed(node.children))
-
-    def strings(self) -> Iterator[TextNode]:
-        for node in self.descendants():
-            if isinstance(node, TextNode):
-                yield node
-
     def get_text(self, separator: str = "", strip: bool = False) -> str:
         """bs4 ``get_text``: join descendant strings (comments excluded —
         bs4's ``.strings`` skips non-plain NavigableString subclasses for
         text extraction via ``_all_strings`` default types).
 
         Hot path (called ~35×/page by the cleaning kernel): inline
-        explicit-stack preorder walk — the ``strings()`` generator
-        costs ~1.4 µs/node in pure yield overhead at this call volume."""
+        explicit-stack preorder walk — a generator would cost ~1.4
+        µs/node in pure yield overhead at this call volume."""
         parts = []
         stack = list(reversed(self.children))
         pop = stack.pop
@@ -224,8 +228,7 @@ class Node:
         (including comments, like bs4 ``find_all(string=True)``).
         ``name=True`` matches every element (bs4 ``find_all(True)``).
 
-        Hot path (~19×/page, visiting ~1k nodes each): explicit-stack
-        preorder walk instead of the ``descendants()`` generator, with
+        Hot path: explicit-stack preorder walk instead of a generator, with
         the dominant call shape — plain string tag name, no attrs —
         matched inline rather than through ``_matches``."""
         out: list = []
@@ -314,6 +317,36 @@ class Node:
 
 
 ROOT_NAME = "[document]"
+
+
+class Document(Node):
+    """The root :func:`parse` returns, with the preorder index of the
+    elements and comments it created (see module docstring)."""
+
+    __slots__ = ("elements", "comments")
+
+    def __init__(self) -> None:
+        super().__init__(ROOT_NAME)
+        self.elements: list[Node] = []
+        self.comments: list[CommentNode] = []
+
+    def holds(self, node: AnyNode) -> bool:
+        """Whether ``node`` is still in this tree: its parent chain
+        reaches the document."""
+        while node is not None:
+            if node is self:
+                return True
+            node = node.parent
+        return False
+
+    def release(self) -> None:
+        """Drop every parent→child link so the tree is freed by
+        reference counting; the document is empty afterwards."""
+        for el in self.elements:
+            el.children.clear()
+        self.children.clear()
+        self.elements.clear()
+        self.comments.clear()
 
 
 def escape_text(text: str) -> str:
@@ -410,7 +443,7 @@ class _TreeBuilder(HTMLParser):
 
     def __init__(self) -> None:
         super().__init__(convert_charrefs=True)
-        self.root = Node(ROOT_NAME)
+        self.root = Document()
         self.stack: list[Node] = [self.root]
 
     @staticmethod
@@ -423,12 +456,14 @@ class _TreeBuilder(HTMLParser):
         # attr-less tags (the majority) skip the normalizing dict build
         node = Node(tag, self._attr_dict(attrs) if attrs else None)
         self.stack[-1].append(node)
+        self.root.elements.append(node)
         if tag not in VOID_ELEMENTS:
             self.stack.append(node)
 
     def handle_startendtag(self, tag: str, attrs) -> None:
         node = Node(tag, self._attr_dict(attrs) if attrs else None)
         self.stack[-1].append(node)
+        self.root.elements.append(node)
 
     def handle_endtag(self, tag: str) -> None:
         if tag in VOID_ELEMENTS:
@@ -444,7 +479,9 @@ class _TreeBuilder(HTMLParser):
             self.stack[-1].append(TextNode(data))
 
     def handle_comment(self, data: str) -> None:
-        self.stack[-1].append(CommentNode(data))
+        node = CommentNode(data)
+        self.stack[-1].append(node)
+        self.root.comments.append(node)
 
     def handle_decl(self, decl: str) -> None:
         # DOCTYPE etc. — dropped (the kernel never reads it; bs4 keeps a
@@ -506,11 +543,12 @@ def _attr_dict(text: str) -> dict:
     return attrs
 
 
-def _scan(html: str) -> Optional[Node]:
+def _scan(html: str) -> Optional[Document]:
     """The tree ``_TreeBuilder`` builds for ``html``, or ``None`` when
     the page leaves the scanner's subset (the caller then falls back).
     Iterative: nesting depth is unbounded."""
-    root = Node(ROOT_NAME)
+    root = Document()
+    elements = root.elements
     stack = [root]
     top = root
     kids = root.children
@@ -525,6 +563,7 @@ def _scan(html: str) -> Optional[Node]:
             name = name.lower()
             node = Node(name, _attr_dict(attrs) if attrs else None, top)
             kids.append(node)
+            elements.append(node)
             if not slash and name not in VOID_ELEMENTS:
                 stack.append(node)
                 top = node
@@ -549,17 +588,20 @@ def _scan(html: str) -> Optional[Node]:
                 return None  # unterminated, or another "</" inside
             node = Node(sname, _attr_dict(sattrs) if sattrs else None, top)
             kids.append(node)
+            elements.append(node)
             if raw:
                 node.children.append(TextNode(raw, node))
         elif comment:
-            kids.append(CommentNode(comment[4:-3], top))
+            node = CommentNode(comment[4:-3], top)
+            kids.append(node)
+            root.comments.append(node)
         elif stray:
             return None
     return root
 
 
-def parse(html: str) -> Node:
-    """Parse HTML into a document root node (name ``[document]``)."""
+def parse(html: str) -> Document:
+    """Parse HTML into an indexed document root (name ``[document]``)."""
     root = _scan(html)
     if root is None:
         builder = _TreeBuilder()

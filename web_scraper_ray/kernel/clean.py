@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 from typing import Tuple
 
-from ..dom import CommentNode, Node, parse
+from ..dom import CommentNode, Document, Node, parse
 
 # scraper.py:280-284 — only the real tag names take effect (see module
 # doc). frozenset: name-membership is what bs4's name-list matching
@@ -44,25 +44,33 @@ _SVG_RE = re.compile(r"<svg.*?</svg>\s*", re.DOTALL)  # scraper.py:315
 _WS_RE = re.compile(r"\s+")  # scraper.py:317
 
 
-def extract_og_metadata(doc: Node) -> dict:
+#: og ``property`` → record key (``scraper.py:324-343``)
+_OG_KEYS = {"og:title": "og_title", "og:description": "og_description",
+            "og:image": "og_image"}
+
+
+def extract_og_metadata(doc: Document) -> dict:
     """OpenGraph metadata → dict (``scraper.py:324-343``). Only keys with
-    truthy ``content`` are present, exactly like the reference."""
-    metadata: dict = {}
-    og_title = doc.find("meta", {"property": "og:title"})
-    if og_title is not None and og_title.get("content"):
-        metadata["og_title"] = og_title.get("content")
-    og_description = doc.find("meta", {"property": "og:description"})
-    if og_description is not None and og_description.get("content"):
-        metadata["og_description"] = og_description.get("content")
-    og_image = doc.find("meta", {"property": "og:image"})
-    if og_image is not None and og_image.get("content"):
-        metadata["og_image"] = og_image.get("content")
-    return metadata
+    truthy ``content`` are present, exactly like the reference.
+
+    The reference runs one ``find`` per property; each takes the first
+    ``meta`` with that property in document order. One pass over the
+    index's metas records the same first match per property."""
+    first: dict = {}
+    for el in doc.elements:
+        if el.name == "meta":
+            key = _OG_KEYS.get(el.attrs.get("property"))
+            if key is not None and key not in first:
+                first[key] = el.attrs.get("content")
+    return {key: first[key] for key in _OG_KEYS.values() if first.get(key)}
 
 
-def _remove_boilerplate(doc: Node) -> None:
-    for element in doc.find_all(BOILERPLATE_TAGS):
-        element.decompose()
+def _remove_boilerplate(doc: Document) -> None:
+    """A listed element inside an already removed subtree is decomposed
+    out of its detached parent, which the live tree never sees."""
+    for element in doc.elements:
+        if element.name in BOILERPLATE_TAGS:
+            element.decompose()
 
 
 def deduplicate_list_items(doc: Node) -> None:
@@ -89,14 +97,19 @@ def concatenate_spans(doc: Node) -> None:
 
 def normalize_text_nodes(doc: Node) -> None:
     """Strip inline ``<svg…</svg>`` remnants and collapse whitespace in
-    every text node (``scraper.py:305-320``)."""
-    text_nodes = list(doc.find_all(string=True))
-    for node in text_nodes:
+    every text node (``scraper.py:305-320``). Without ``<svg`` the two
+    regexes reduce to ``" ".join(s.split())``: ``re``'s ``\\s`` and
+    ``str.split()`` agree on every code point (tests/test_kernel_golden.py
+    checks all of them)."""
+    for node in doc.find_all(string=True):
         if node.parent is not None and not isinstance(node, CommentNode):
-            if node.string:
-                cleaned = _SVG_RE.sub("", node.string)
-                cleaned = _WS_RE.sub(" ", cleaned).strip()
-                if cleaned != node.string:
+            s = node.text
+            if s:
+                if "<svg" in s:
+                    cleaned = _WS_RE.sub(" ", _SVG_RE.sub("", s)).strip()
+                else:
+                    cleaned = " ".join(s.split())
+                if cleaned != s:
                     node.replace_with(cleaned)
 
 
@@ -115,21 +128,21 @@ def _dedup_lis(lis: list[Node]) -> None:
         li.decompose()
 
 
-def _concat_spans_from(doc: Node, spans: list[Node]) -> None:
+def _concat_spans_from(doc: Document, spans: list[Node]) -> None:
     """:func:`concatenate_spans` body over a pre-collected span list.
-    Spans inside since-removed subtrees are harmless: their ancestor
-    chains end at detached nodes, and the live-tree ``descendants``
-    filter below drops those — identical to collecting after removal."""
+    The parents are taken in index order, which is document order. A
+    span inside a since-removed subtree makes its detached ancestors
+    parents too: merging spans there only edits nodes the live tree no
+    longer holds, so the live tree ends as if they had been skipped."""
     ancestor_set: set[int] = set()
     for span in spans:
         node = span.parent
-        while node is not None and node.name != "[document]":
+        while node is not None and node is not doc:
             ancestor_set.add(id(node))
             node = node.parent
     if not ancestor_set:
         return
-    parents = [n for n in doc.descendants()
-               if isinstance(n, Node) and id(n) in ancestor_set]
+    parents = [n for n in doc.elements if id(n) in ancestor_set]
     for parent in parents:
         children = list(parent.children)
         spans_to_remove = []
@@ -153,49 +166,35 @@ def _concat_spans_from(doc: Node, spans: list[Node]) -> None:
             span.decompose()
 
 
-def clean_document(doc: Node) -> Tuple[Node, dict]:
+def clean_document(doc: Document) -> Tuple[Document, dict]:
     """Run the full cleaning pipeline in place; returns ``(doc, og)``.
 
-    Steps 3-6 share ONE preorder walk of the post-boilerplate tree
-    (the hot path runs ~1k nodes/page × 4 separate scans otherwise):
-    comments, li and span elements are collected and attrs pruned in a
-    single pass, then processed in the reference's order. Equivalence:
-    comment extraction never changes the element set, attr pruning
-    never changes text, ``get_text`` skips comments regardless, and li
-    decomposition's effect on span collection is neutralized by
-    ``_concat_spans_from``'s live-tree ancestor filter — so each
-    step sees exactly the state the sequential pipeline would (the
-    byte-parity golden gate pins this)."""
-    from ..dom import TextNode
-
+    Steps 3-6 read the parse index instead of walking the tree: attrs
+    are pruned and li/span elements collected in one pass over
+    ``doc.elements``, comments come from ``doc.comments``, then each
+    step runs in the reference's order. Nodes inside removed subtrees
+    are listed too. Pruning their attrs, extracting their comments and
+    merging their spans edits only detached nodes. An li is the one
+    exception: its text feeds the first-wins set, so only lis the
+    document still holds take part, exactly the lis the sequential
+    pipeline would find (the byte-parity golden gate pins this)."""
     og_metadata = extract_og_metadata(doc)
     _remove_boilerplate(doc)
 
-    comments: list = []
     lis: list[Node] = []
     spans: list[Node] = []
-    stack = list(reversed(doc.children))
-    pop = stack.pop
-    push = stack.extend
-    while stack:
-        node = pop()
-        cls = node.__class__
-        if cls is CommentNode:
-            comments.append(node)
-            continue
-        if cls is TextNode:
-            continue
+    for node in doc.elements:
         if node.attrs:
             node.attrs = {k: v for k, v in node.attrs.items()
                           if k in ALLOWED_ATTRS}
         name = node.name
         if name == "li":
-            lis.append(node)
+            if doc.holds(node):
+                lis.append(node)
         elif name == "span":
             spans.append(node)
-        push(reversed(node.children))
 
-    for c in comments:
+    for c in doc.comments:
         c.extract()
     _dedup_lis(lis)
     _concat_spans_from(doc, spans)

@@ -4,9 +4,12 @@
 stdlib DOM, including its traversal quirks (they define the byte-level
 output contract):
 
-* The worklist is seeded ``[(root, 0)]`` and processed with ``pop(0)``
-  while children are pushed to the *front* in reversed order
+* The reference seeds its worklist ``[(root, 0)]``, takes from the front
+  with ``pop(0)`` and pushes children to the *front* in reversed order
   (``markdown_formatter.py:141,276-283``) — i.e. depth-first preorder.
+  Here the front is the list's end (``pop()``, children pushed in
+  reverse), the same visit order without the O(n²) front inserts; the
+  unused depth is dropped.
 * Handled elements (h1-h6, p, a, img, strong/em/code, hr, br) do **not**
   skip their children, so their text nodes are emitted a second time as
   raw text — only ``pre/blockquote/ul/ol/table`` subtrees are skipped
@@ -23,7 +26,7 @@ from __future__ import annotations
 import re
 from typing import Optional
 
-from ..dom import Node, TextNode, parse
+from ..dom import Document, Node, TextNode, parse
 
 _MULTI_NL_RE = re.compile(r"\n{3,}")  # markdown_formatter.py:123
 _HEADING_GAP_RE = re.compile(r"([^\n])\n(#{1,6} )")  # markdown_formatter.py:126
@@ -40,29 +43,38 @@ def _class_list(tag: Optional[Node]) -> list[str]:
     return raw.split()
 
 
-def find_main_content(doc: Node) -> Node:
+def find_main_content(doc: Document) -> Node:
     """markdown_formatter.py:104-114 (same chain in html_formatter.py:220-228).
 
-    Single document-order pass recording the first match of each rung of
-    the fallback chain — identical result to six sequential ``find``
-    scans (each ``find`` returns the first match in document order), at
-    one traversal."""
+    One pass over the parse index recording the first match of each
+    rung of the fallback chain — identical result to six sequential
+    ``find`` scans (each ``find`` returns the first match in document
+    order). The index keeps elements the caller has since removed, so a
+    candidate counts only while ``doc`` still holds it."""
     first: dict[int, Node] = {}
-    for node in doc.descendants():
+    holds = doc.holds
+    for node in doc.elements:
         name = node.name
         if name == "main":
-            return node  # highest priority; nothing can beat it
-        if name == "article":
-            first.setdefault(1, node)
+            if holds(node):
+                return node  # highest priority; nothing can beat it
+        elif name == "article":
+            if 1 not in first and holds(node):
+                first[1] = node
         elif name == "div":
-            if 2 not in first and node.attrs.get("id") == "content":
+            attrs = node.attrs
+            if not attrs:
+                continue
+            if 2 not in first and attrs.get("id") == "content" and holds(node):
                 first[2] = node
-            if 3 not in first and "content" in (node.attrs.get("class") or "").split():
+            if (3 not in first and "content" in (attrs.get("class") or "").split()
+                    and holds(node)):
                 first[3] = node
-            if 4 not in first and node.attrs.get("role") == "main":
+            if 4 not in first and attrs.get("role") == "main" and holds(node):
                 first[4] = node
         elif name == "body":
-            first.setdefault(5, node)
+            if 5 not in first and holds(node):
+                first[5] = node
     for rank in (1, 2, 3, 4, 5):
         if rank in first:
             return first[rank]
@@ -71,9 +83,9 @@ def find_main_content(doc: Node) -> Node:
 
 def _process_element_iteratively(root: Node, out: list[str]) -> None:
     """markdown_formatter.py:131-283, faithfully (see module docstring)."""
-    stack = [(root, 0)]
+    stack = [root]
     while stack:
-        element, depth = stack.pop(0)
+        element = stack.pop()
 
         if element.name is None and isinstance(element, TextNode):
             text = element.string.strip()
@@ -183,13 +195,11 @@ def _process_element_iteratively(root: Node, out: list[str]) -> None:
         elif name == "br":
             out.append("\n")
 
-        children = list(element.children)
         if name not in ("pre", "blockquote", "ul", "ol", "table"):
-            for child in reversed(children):
-                stack.insert(0, (child, depth + 1))
+            stack.extend(reversed(element.children))
 
 
-def markdown_from_doc(doc: Node) -> str:
+def markdown_from_doc(doc: Document) -> str:
     """Traverse an already-parsed document. The caller must ensure the
     tree is at its serialize→parse fixed point (``dom.merge_adjacent_text``)
     if it was not freshly parsed — the reference always converts from a
