@@ -155,3 +155,32 @@ def test_strip_boilerplate_bad_mode(ray_session):
 
     with pytest.raises(ValueError):
         strip_boilerplate(_toy_pages(), mode="nope").to_pandas()
+
+
+def test_strip_boilerplate_all_null_url_block(ray_session):
+    """A block whose urls are all null is typed Arrow ``null``; both ops
+    take it, and a null url is host '' (its rows' shared lines count
+    toward host '')."""
+    import pyarrow as pa
+    import ray.data
+
+    from web_scraper_ray.ops.boilerplate import (host_boilerplate_lines,
+                                                 strip_boilerplate)
+
+    rows = [{"url": None, "text": "NAV\nx"}, {"url": None, "text": "NAV\ny"},
+            {"url": "https://a.example/p0", "text": "NAV\nz"},
+            {"url": "https://a.example/p1", "text": "NAV\nw"}]
+    ds = ray.data.from_items(rows, override_num_blocks=2)
+    types = [b["url"].type for b in ds.iter_batches(batch_format="pyarrow",
+                                                    batch_size=None)]
+    assert pa.null() in types
+    want = [(None, "x", 1), (None, "y", 1),
+            ("https://a.example/p0", "z", 1), ("https://a.example/p1", "w", 1)]
+    for mode in ("broadcast", "sharded"):
+        got = strip_boilerplate(ds, min_pages=2, mode=mode,
+                                n_buckets=4).take_all()
+        assert sorted(((r["url"], r["text"], r["n_dropped"]) for r in got),
+                      key=lambda r: (r[0] or "", r[1])) == want, mode
+    inv = host_boilerplate_lines(ds, min_pages=2, n_buckets=4).take_all()
+    assert sorted((r["host"], r["line"], r["n_pages"]) for r in inv) == [
+        ("", "NAV", 2), ("a.example", "NAV", 2)]

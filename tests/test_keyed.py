@@ -332,3 +332,47 @@ def test_crawl_reads_are_footer_planned():
              if isinstance(n, ast.Attribute) and n.attr == "read_parquet"]
     assert sites == []
     assert "live_requeue" not in {f.name for f in dataclasses.fields(CrawlConfig)}
+
+
+def _ops_tree(name: str) -> ast.Module:
+    path = pathlib.Path(__file__).resolve().parents[1] / "web_scraper_ray" / "ops" / name
+    return ast.parse(path.read_text())
+
+
+def _pandas_batch_formats(node: ast.AST) -> list:
+    return [n.lineno for n in ast.walk(node) if isinstance(n, ast.Call)
+            for kw in n.keywords if kw.arg == "batch_format"
+            and ast.unparse(kw.value) == "'pandas'"]
+
+
+def test_curate_ops_are_arrow_native():
+    """ops/boilerplate.py imports no pandas and asks Ray Data for no
+    pandas batch; neither does ``paragraph_dedup`` (ops/dedup.py)."""
+    boiler = _ops_tree("boilerplate.py")
+    imports = [a.name for n in ast.walk(boiler) if isinstance(n, ast.Import)
+               for a in n.names] + [n.module for n in ast.walk(boiler)
+                                    if isinstance(n, ast.ImportFrom)]
+    assert not [m for m in imports if m and m.split(".")[0] == "pandas"]
+    assert _pandas_batch_formats(boiler) == []
+    para = [n for n in _ops_tree("dedup.py").body
+            if isinstance(n, ast.FunctionDef) and n.name == "paragraph_dedup"]
+    assert len(para) == 1
+    assert _pandas_batch_formats(para[0]) == []
+    assert not [n for n in ast.walk(para[0]) if isinstance(n, ast.Name) and n.id == "pd"]
+
+
+def test_explicit_modes_build_the_table_from_the_lazy_decision():
+    """The keyed ops materialize their decision Dataset only where
+    ``mode == "auto"`` measures it: with an explicit mode the KeyTable
+    build runs the decision shuffle in the same execution."""
+    fns = {n.name: n for name in ("boilerplate.py", "dedup.py")
+           for n in _ops_tree(name).body if isinstance(n, ast.FunctionDef)}
+    for name in ("strip_boilerplate", "paragraph_dedup", "subtract_ids"):
+        auto = [n for n in ast.walk(fns[name]) if isinstance(n, ast.If)
+                and ast.unparse(n.test) == "mode == 'auto'"]
+        assert len(auto) == 1, name
+        inside = {id(n) for n in ast.walk(auto[0])}
+        stray = [n.lineno for n in ast.walk(fns[name])
+                 if isinstance(n, ast.Attribute) and n.attr == "materialize"
+                 and id(n) not in inside]
+        assert stray == [], name

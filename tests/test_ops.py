@@ -1100,6 +1100,117 @@ def test_paragraph_dedup_matches_sequential_model(ray_session):
             assert got == expect, f"trial {trial} {mode}"
 
 
+def _para_model(docs, sep="\n\n"):
+    """Sequential first-occurrence-wins model of paragraph_dedup over
+    ``(doc_id, text)`` rows with unique ids (the model of
+    test_paragraph_dedup_matches_sequential_model, with a ``sep``)."""
+    seen, out = set(), {}
+    for doc_id, text in docs:
+        kept = []
+        for p in (text or "").split(sep):
+            if p not in seen:
+                seen.add(p)
+                kept.append(p)
+        out[doc_id] = sep.join(kept)
+    return out
+
+
+def _para_rows(ds, **kw):
+    from web_scraper_ray.ops.dedup import paragraph_dedup
+
+    return sorted((r["doc_id"], r["text"])
+                  for r in paragraph_dedup(ds, n_buckets=4, **kw).take_all())
+
+
+def test_paragraph_dedup_repeated_id_is_batching_independent(ray_session):
+    """Rows that share a doc id rebuild from their own paragraphs, and
+    the output is the same in one block and in one block per row."""
+    import ray.data
+
+    rows = [{"doc_id": 5, "text": "a\n\nb"}, {"doc_id": 5, "text": "c"},
+            {"doc_id": 6, "text": "a\n\nd"}]
+    expect = [(5, "a\n\nb"), (5, "c"), (6, "d")]
+    for mode in ("broadcast", "sharded"):
+        for blocks in (1, len(rows)):
+            ds = ray.data.from_items(rows, override_num_blocks=blocks)
+            assert _para_rows(ds, mode=mode) == expect, (mode, blocks)
+
+
+def test_paragraph_dedup_arrow_edge_cases(ray_session):
+    """The Arrow path equals the sequential model on a block whose text
+    is all null (Arrow type ``null``), an empty block, ``""`` and
+    ``None`` documents (one empty paragraph each) and a ``sep`` with
+    regex metacharacters (split literally)."""
+    import pyarrow as pa
+    import ray.data
+
+    def check(ds, docs, sep="\n\n"):
+        want = sorted(_para_model(docs, sep).items())
+        for mode in ("broadcast", "sharded"):
+            assert _para_rows(ds, mode=mode, sep=sep) == want, (mode, docs)
+
+    null_block = [(0, None), (1, None)]
+    docs = null_block + [(2, "x\n\n"), (3, "\n\nx\n\ny")]
+    ds = ray.data.from_items([{"doc_id": i, "text": t} for i, t in docs],
+                             override_num_blocks=2)
+    types = [b["text"].type for b in ds.iter_batches(batch_format="pyarrow",
+                                                     batch_size=None)]
+    assert pa.null() in types
+    check(ds, docs)
+
+    empty = pa.table({"doc_id": pa.array([], pa.int64()),
+                      "text": pa.array([], pa.string())})
+    docs = [(4, "p\n\nq"), (5, "q\n\nr")]
+    check(ray.data.from_arrow([empty, pa.table({
+        "doc_id": [d for d, _ in docs], "text": [t for _, t in docs]})]), docs)
+    check(ray.data.from_arrow([empty]), [])
+
+    docs = [(0, ""), (1, None), (2, "a\n\n"), (3, None)]
+    check(ray.data.from_items([{"doc_id": i, "text": t} for i, t in docs]), docs)
+
+    docs = [(0, "a.b.c"), (1, "b.a|b"), (2, "a|b.c.."), (3, "a.*b")]
+    ds = ray.data.from_items([{"doc_id": i, "text": t} for i, t in docs])
+    check(ds, docs, sep=".")
+    check(ds, docs, sep="|")
+    check(ds, docs, sep=".*")
+
+
+def test_paragraph_pieces_on_an_empty_batch():
+    """The per-batch kernels take a zero-row batch: no pieces, no
+    digests, and a zero-row rebuild."""
+    import numpy as np
+    import pyarrow as pa
+
+    from web_scraper_ray.ops.dedup import _md5_halves
+    from web_scraper_ray.ops.pieces import join_kept, positions, split_pieces
+
+    for text in (pa.array([], pa.string()), pa.array([], pa.null()),
+                 pa.chunked_array([], pa.large_string())):
+        parent, flat = split_pieces(text, "\n\n")
+        assert len(parent) == len(flat) == 0
+        assert len(positions(parent, 0)) == 0
+        hi, lo = _md5_halves(flat)
+        assert len(hi) == len(lo) == 0
+        out = join_kept(flat, parent, np.ones(0, dtype=bool), 0, "\n\n")
+        assert len(out) == 0 and out.type == pa.large_string()
+
+
+def test_md5_halves_are_the_full_digest():
+    import hashlib
+
+    import numpy as np
+    import pyarrow as pa
+
+    from web_scraper_ray.ops.dedup import _md5_halves
+
+    vals = ["", "a", "é ü", "x" * 1000, ""]
+    arr = pa.array(["skip"] + vals).slice(1)  # a non-zero array offset
+    hi, lo = _md5_halves(arr)
+    want = [hashlib.md5(v.encode()).digest() for v in vals]
+    got = [np.array([h, l], ">i8").tobytes() for h, l in zip(hi, lo)]
+    assert got == want
+
+
 def test_doc_frequency_and_tfidf(ray_session):
     import ray.data
 

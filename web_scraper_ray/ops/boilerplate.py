@@ -18,17 +18,22 @@ line TEXT never rides a shuffle):
 1. decision pass ships only ``(host, k, c)`` combiner partials, where
    ``k`` is a stable 64-bit vectorized content key of (host, line)
    (vhash.py — collisions are 2^-63-scale and would only merge two
-   line counts) and ``c`` counts distinct batch pages carrying the
-   line. A page is one row, so its lines never span batches: the
-   global ``count(DISTINCT url)`` is exactly the SUM of batch
-   partials. The groupby is coarse-bucketed (``k % n_buckets``
-   groups, never one group per distinct line: the documented
-   corpus-cardinality-groupby rule). Measured on the 200k-page bench
+   line counts) and ``c`` counts the batch ROWS carrying the line.
+   A row's lines never span batches, so the fold's SUM of partials
+   is the number of rows (pages) carrying the line — which equals
+   ``count(DISTINCT url)`` only while urls are unique: a url that
+   appears in two rows (a multi-snapshot corpus) counts twice (the
+   SQL twin's ``count(DISTINCT url)`` counts it once). The groupby
+   is coarse-bucketed (``k % n_buckets`` groups, never one group per
+   distinct line: the documented corpus-cardinality-groupby rule),
+   and each group folds in Arrow/numpy (one stable argsort of ``k``,
+   ``np.add.reduceat`` over ``c``). Measured on the 200k-page bench
    corpus this fold is ~4× faster than shuffling the line text.
 2. the qualifying key set (a site's chrome — small per host) comes
    back as ``(host, k, n_pages)``; line text for the INVENTORY is
    recovered by a second corpus scan that keeps only qualifying keys
-   (a slim join, nothing corpus-shaped moves).
+   (a slim join, nothing corpus-shaped moves) and folded to one row
+   per (host, line) by an Arrow ``group_by``.
 3. rebuild: the qualifying keys become a
    :class:`~web_scraper_ray.ops.keyed.KeyTable` keyed by
    ``hash64_str(host)`` with the line key ``k`` as payload. Every batch
@@ -38,14 +43,16 @@ line TEXT never rides a shuffle):
    holds it) or ``sharded`` by host hash over the session's pooled key
    actors so no process holds the full set — right when hosts ×
    boilerplate lines outgrow a node. ``mode="auto"`` switches on the
-   measured set size.
+   measured set size, so only it materializes the key set first; an
+   explicit mode hands the lazy decision fold to the table, whose
+   build runs the fold's shuffle in the same execution.
 
-Kernel discipline: every per-batch pass is Arrow-native — regex host
-extract, line split/flatten, hashing, membership, and the ordered
-rejoin (``LargeListArray`` rebuild + ``binary_join``) all run in
-Arrow/numpy kernels; no Python string ever materializes in the hot
-path (the round-4 per-line blake2b generator was the bench's slowest
-kernel). Rebuild is keyed on ROW POSITION, not url, so duplicate urls
+Kernel discipline: every pass is Arrow-native and the module imports
+no pandas — regex host extract, line split/flatten, hashing,
+membership, the group folds and the ordered rejoin (ops/pieces.py)
+all run in Arrow/numpy kernels; no Python string ever materializes in
+the hot path (the round-4 per-line blake2b generator was the bench's
+slowest kernel). Rebuild is keyed on ROW POSITION, not url, so duplicate urls
 in one batch/bucket (multi-snapshot corpora) rebuild independently.
 
 Parity discipline (the DuckDB twin in ``__ray_entry__.oracle_sql``
@@ -60,7 +67,6 @@ boilerplate comes back with empty text.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -68,6 +74,7 @@ import ray.data
 
 from ..vhash import hash64_combine, hash64_str
 from .keyed import KeyTable, contains_sorted
+from .pieces import join_kept, split_pieces
 
 _HOST_RE = r"://([^/]+)"
 _HOST_RE_ARROW = r"://(?P<h>[^/]+)"
@@ -87,7 +94,10 @@ _EMPTY_INVENTORY = pa.table({
 
 def _hosts_of(url: pa.Array) -> pa.Array:
     """host per page — ``regexp_extract(url, '://([^/]+)', 1)``, '' on
-    no match (same as the SQL twin)."""
+    no match (same as the SQL twin); a null url is host '' too."""
+    # cast first: an all-null block is typed `null`, which has no
+    # extract_regex kernel
+    url = url.cast(pa.large_string())
     return pc.fill_null(
         pc.struct_field(pc.extract_regex(url, _HOST_RE_ARROW), "h"), "")
 
@@ -98,10 +108,7 @@ def _line_rows(url: pa.Array, text: pa.Array):
     ``k`` is the stable content key of (host, line) per line and
     ``nonempty`` marks lines != ''. No Python strings materialize."""
     host = _hosts_of(url)
-    lines = pc.split_pattern(pc.fill_null(text, ""), "\n")
-    parent = pc.list_parent_indices(lines).to_numpy().astype(
-        np.int64, copy=False)
-    flat = pc.list_flatten(lines)
+    parent, flat = split_pieces(text, "\n")
     k = hash64_combine(hash64_str(host)[parent], hash64_str(flat))
     nonempty = pc.not_equal(flat, "").to_numpy(zero_copy_only=False)
     return host, parent, flat, k, nonempty
@@ -115,7 +122,7 @@ def _qualifying_keys(
     n_buckets: int,
 ) -> ray.data.Dataset:
     """The decision fold: ``(host, k, n_pages)`` for every line-key on
-    ``>= min_pages`` distinct pages of its host. Only int64 keys +
+    ``>= min_pages`` pages (rows) of its host. Only int64 keys +
     short host strings ride the shuffle."""
 
     def partials(batch: pa.Table) -> pa.Table:
@@ -148,18 +155,23 @@ def _qualifying_keys(
             "c": pa.array(c.astype(np.int64), pa.int64()),
             "__bkt": pa.array(uk % np.int64(n_buckets), pa.int64())})
 
-    def count_group(g: pd.DataFrame) -> pd.DataFrame:
-        agg = (g.groupby("k", sort=False)
-                .agg(host=("host", "first"), n_pages=("c", "sum"))
-                .reset_index())
-        agg = agg[agg["n_pages"] >= min_pages]
-        agg["n_pages"] = agg["n_pages"].astype("int64")
-        return agg[["host", "k", "n_pages"]]
+    def count_group(g: pa.Table) -> pa.Table:
+        # one stable sort by key, then a segmented sum of the partials
+        k = g["k"].to_numpy()
+        o = np.argsort(k, kind="stable")
+        ks = k[o]
+        starts = np.flatnonzero(np.r_[True, ks[1:] != ks[:-1]])
+        n_pages = np.add.reduceat(g["c"].to_numpy()[o], starts)
+        sel = n_pages >= min_pages
+        return pa.table({
+            "host": g["host"].take(pa.array(o[starts[sel]], pa.int64())),
+            "k": pa.array(ks[starts[sel]], pa.int64()),
+            "n_pages": pa.array(n_pages[sel], pa.int64())})
 
     return (ds.select_columns([url_col, text_col])
               .map_batches(partials, batch_format="pyarrow")
               .groupby("__bkt")
-              .map_groups(count_group, batch_format="pandas"))
+              .map_groups(count_group, batch_format="pyarrow"))
 
 
 def host_boilerplate_lines(
@@ -173,8 +185,7 @@ def host_boilerplate_lines(
     every non-empty line appearing on ``>= min_pages`` distinct pages
     of the same host. ``ds`` is consumed twice (decision fold + text
     recovery for the qualifying set) — pass a re-readable source."""
-    keys = _qualifying_keys(ds, url_col, text_col, min_pages,
-                            n_buckets).materialize()
+    keys = _qualifying_keys(ds, url_col, text_col, min_pages, n_buckets)
     table = KeyTable(keys, "k", "n_pages", op="host_boilerplate_lines")
 
     def recover(batch: pa.Table) -> pa.Table:
@@ -198,15 +209,19 @@ def host_boilerplate_lines(
             "n_pages": pa.array(n_pages, pa.int64()),
             "__bkt": pa.array(ku[qi] % np.int64(n_buckets), pa.int64())})
 
+    def distinct_lines(g: pa.Table) -> pa.Table:
+        # a (host, line) has one key, hence one n_pages: min is a pick
+        d = g.group_by(["host", "line"], use_threads=False).aggregate(
+            [("n_pages", "min")])
+        return pa.table({"host": d["host"], "line": d["line"],
+                         "n_pages": d["n_pages_min"]})
+
     # many batches re-emit the same qualifying line → one small dedup
     # fold over qualifying rows only (inventory-shaped, not corpus-)
     return (ds.select_columns([url_col, text_col])
               .map_batches(recover, batch_format="pyarrow")
               .groupby("__bkt")
-              .map_groups(
-                  lambda g: g.drop_duplicates(["host", "line"])
-                             [["host", "line", "n_pages"]],
-                  batch_format="pandas"))
+              .map_groups(distinct_lines, batch_format="pyarrow"))
 
 
 def _strip_rows(url: pa.Array, text: pa.Array, ks: np.ndarray,
@@ -222,19 +237,10 @@ def _strip_rows(url: pa.Array, text: pa.Array, ks: np.ndarray,
             "n_dropped": pa.array([], pa.int64())})
     _host, parent, flat, k, nonempty = _line_rows(url, text)
     drop = contains_sorted(ks, k) & nonempty
-    keep = ~drop
-    counts = np.bincount(parent[keep], minlength=n)
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    kept_lines = flat.cast(pa.large_string()).filter(
-        pa.array(keep, pa.bool_()))
-    rebuilt = pa.LargeListArray.from_arrays(
-        pa.array(offsets, pa.int64()), kept_lines)
     n_dropped = np.bincount(parent[drop], minlength=n)
     return pa.table({
         url_col: url.cast(pa.large_string()),
-        text_col: pc.binary_join(
-            rebuilt, pa.scalar("\n", pa.large_string())),
+        text_col: join_kept(flat, parent, ~drop, n, "\n"),
         "n_dropped": pa.array(n_dropped.astype(np.int64), pa.int64())})
 
 
@@ -263,10 +269,12 @@ def strip_boilerplate(
     all-to-all): ``broadcast`` keeps the slim (host hash, line key)
     table in the object store, ``sharded`` partitions it by host hash
     over the pooled key actors; the two are byte-identical
-    (test_boilerplate)."""
-    keys = _qualifying_keys(ds, url_col, text_col, min_pages,
-                            n_buckets).materialize()
+    (test_boilerplate). Only ``auto`` materializes the key table to
+    measure it; an explicit mode builds the table straight from the
+    lazy decision fold (one execution for the shuffle and the build)."""
+    keys = _qualifying_keys(ds, url_col, text_col, min_pages, n_buckets)
     if mode == "auto":
+        keys = keys.materialize()
         if keys.count() > broadcast_limit:
             mode = "sharded"
         else:

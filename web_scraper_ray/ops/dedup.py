@@ -21,10 +21,12 @@ import hashlib
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 
 import ray.data
 
-from .keyed import KeyTable
+from .keyed import KeyTable, contains_sorted
+from .pieces import join_kept, positions, split_pieces
 
 _MERSENNE = (1 << 61) - 1
 
@@ -56,10 +58,13 @@ def subtract_ids(
       filter batch asks them about its own ids only (slim int64s both
       ways).
 
-    ``mode='auto'`` picks by the drop set's row count (parquet/block
-    metadata — the drop Dataset is materialized either way)."""
-    drop = drop.select_columns([drop_col]).materialize()
+    ``mode='auto'`` picks by the drop set's row count, so only it
+    materializes the drop Dataset first; an explicit mode hands the
+    lazy drop Dataset to the table, whose build runs it in the same
+    execution."""
+    drop = drop.select_columns([drop_col])
     if mode == "auto":
+        drop = drop.materialize()
         mode = "broadcast" if drop.count() <= broadcast_limit else "sharded"
     table = KeyTable(drop, drop_col, placement=mode,
                      n_shards=max(4, n_buckets // 4), op="subtract_ids")
@@ -209,8 +214,6 @@ def dedup_against(
     with :func:`exact_dedup` first when the ingest batch itself may
     contain duplicates. Oracle twin:
     ``__ray_entry__.oracle_sql()['incremental_dedup']``."""
-    import pyarrow as pa
-
     prior_text_col = prior_text_col or text_col
     key = "__ckey"
 
@@ -238,36 +241,21 @@ def dedup_against(
 # ---------------------------------------------------------------------------
 # paragraph-level exact dedup (corpus-wide, first-occurrence-wins)
 
-def _paragraph_table(df: pd.DataFrame, text_col: str, id_col: str,
-                     sep: str, with_text: bool) -> pd.DataFrame:
-    """Explode a batch of documents into one row per paragraph:
-    ``(id, p, [v,] h)`` with ``p`` the 1-based position (matching
-    DuckDB's 1-based list subscripts, so the SQL twin lines up) and
-    ``h`` the full md5 hex of the paragraph (128-bit — no collision
-    handling needed at any realistic corpus size). Splitting is a
-    plain (non-regex) ``str.split(sep)``, identical to DuckDB
-    ``string_split``; an empty/null document yields ONE empty
-    paragraph, as ``string_split('', sep)`` does."""
-    texts = df[text_col].fillna("")
-    # regex=False: pandas would otherwise treat a multi-char sep as a
-    # REGEX, silently diverging from str.split / DuckDB string_split
-    # for seps with metacharacters
-    parts = texts.str.split(sep, regex=False)
-    lens = parts.str.len().to_numpy(dtype=np.int64)
-    total = int(lens.sum())
-    ids = np.repeat(df[id_col].to_numpy(), lens)
-    starts = np.repeat(np.cumsum(lens) - lens, lens)
-    p = np.arange(total, dtype=np.int64) - starts + 1
-    flat = [v for lst in parts for v in lst]
-    out = {id_col: ids, "p": p}
-    if with_text:
-        out["v"] = flat
-    else:
-        # the rebuild pass never reads 'h' — hash only on the
-        # decision pass, not twice per corpus
-        out["h"] = [hashlib.md5(v.encode("utf-8")).hexdigest()
-                    for v in flat]
-    return pd.DataFrame(out)
+def _md5_halves(flat: pa.Array) -> tuple[np.ndarray, np.ndarray]:
+    """md5 of each string as two int64 halves ``(hi, lo)`` (big-endian
+    bytes 0-7 and 8-15): the full 128-bit digest, so no collision
+    handling is needed at any realistic corpus size. Hashes the UTF-8
+    bytes straight from the Arrow data buffer."""
+    if not len(flat):
+        return np.empty(0, np.int64), np.empty(0, np.int64)
+    flat = flat.cast(pa.large_string())
+    _, off_buf, data_buf = flat.buffers()
+    off = np.frombuffer(off_buf, np.int64, len(flat) + 1, flat.offset * 8).tolist()
+    data = memoryview(data_buf if data_buf is not None else b"")
+    md5 = hashlib.md5
+    digests = b"".join([md5(data[a:b]).digest() for a, b in zip(off[:-1], off[1:])])
+    h = np.frombuffer(digests, ">i8").reshape(-1, 2)
+    return h[:, 0].astype(np.int64), h[:, 1].astype(np.int64)
 
 
 def paragraph_dedup(
@@ -287,78 +275,99 @@ def paragraph_dedup(
     ``(id_col, text_col)``; a document whose every paragraph was seen
     earlier comes back with empty text.
 
-    Ray-Data shape (the family pattern, module doc above):
+    Splitting is a literal (non-regex) split on ``sep``, as
+    ``str.split`` and DuckDB ``string_split`` are; a null or empty
+    document is ONE empty paragraph. Positions ``p`` are 1-based, as
+    DuckDB list subscripts are, so the SQL twin lines up.
 
-    1. explode to compact ``(id, p, md5)`` rows — text stays behind;
-    2. ``groupby(md5-bucket)`` elects the (id, p)-min occurrence per
-       distinct paragraph and emits the losers — the all-to-all moves
-       only ids + positions + 32-byte hex digests;
+    Ray-Data shape (the family pattern, module doc above), Arrow/numpy
+    end to end:
+
+    1. explode to compact ``(id, p, hi, lo)`` rows — text stays
+       behind; ``(hi, lo)`` is the paragraph's md5 as two int64 halves
+       (the full 128 bits, so no collision handling is needed), and
+       the shuffle bucket is ``hi % n_buckets``;
+    2. ``groupby(bucket)`` elects the (id, p)-min occurrence per
+       distinct paragraph (one ``lexsort`` by (hi, lo, id, p); a row
+       loses when its digest equals the previous row's) and emits the
+       losers — the all-to-all moves only int64 ids, positions and
+       digest halves;
     3. rebuild: the loser table becomes a
        :class:`~web_scraper_ray.ops.keyed.KeyTable` (key = doc id,
        payload = ``p``); the corpus streams in place, each batch looks
-       up its own docs' loser positions, re-splits them locally and
-       drops those positions. ``broadcast`` keeps the table in the
-       object store (small loser sets); ``sharded`` (what ``auto``
-       picks above ``broadcast_limit``) partitions it by doc id over
-       the session's pooled key actors — at web-scale repetition
-       rates the loser table is O(total paragraphs), i.e.
+       up its own docs' loser positions, drops them by a sorted
+       membership test over ``(row's id, p)`` and rejoins each ROW from
+       its own kept paragraphs (ops/pieces.py). ``broadcast`` keeps the
+       table in the object store (small loser sets); ``sharded`` (what
+       ``auto`` picks above ``broadcast_limit``) partitions it by doc
+       id over the session's pooled key actors — at web-scale
+       repetition rates the loser table is O(total paragraphs), i.e.
        corpus-shaped, and no process holds it. Text never rides a
        shuffle in either; both rebuilds are bit-identical (test_ops).
+       Only ``auto`` materializes the loser table to count it; an
+       explicit mode hands the lazy election to the table, whose build
+       runs the shuffle in the same Ray Data execution — one execution
+       fewer.
+
+    First-wins ordering assumes unique ids. Rows that share an id are
+    one document to the election, and each losing position ``p`` of
+    that id is dropped from every one of its rows; each row is still
+    rebuilt from its own paragraphs alone, whatever the batching.
 
     ``ds`` is consumed twice (hash pass + rebuild pass) — pass a
     re-readable source. Oracle twin: ``para_dedup`` in
     ``__ray_entry__.oracle_sql`` replays the same election with a
     ``row_number() OVER (PARTITION BY v ORDER BY doc_id, p)`` window.
     """
-    slim = ds.select_columns([id_col, text_col]).map_batches(
-        lambda df: _paragraph_table(df, text_col, id_col, sep,
-                                    with_text=False),
-        batch_format="pandas",
-    )
 
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["bucket"] = df["h"].map(lambda h: int(h[:8], 16) % n_buckets)
-        return df
+    def explode(batch: pa.Table) -> pa.Table:
+        parent, flat = split_pieces(batch[text_col], sep)
+        hi, lo = _md5_halves(flat)
+        ids = np.asarray(batch[id_col], dtype=np.int64)
+        return pa.table({
+            id_col: pa.array(ids[parent], pa.int64()),
+            "p": pa.array(positions(parent, batch.num_rows), pa.int64()),
+            "hi": pa.array(hi, pa.int64()),
+            "lo": pa.array(lo, pa.int64()),
+            "bucket": pa.array(hi % np.int64(n_buckets), pa.int64())})
 
-    def losers_in_group(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["h", id_col, "p"], kind="mergesort")
-        lose = g.duplicated(subset=["h"], keep="first")
-        return g.loc[lose, [id_col, "p"]]
+    def losers_in_group(g: pa.Table) -> pa.Table:
+        ids, p = g[id_col].to_numpy(), g["p"].to_numpy()
+        hi, lo = g["hi"].to_numpy(), g["lo"].to_numpy()
+        o = np.lexsort((p, ids, lo, hi))
+        hi, lo = hi[o], lo[o]
+        lose = np.zeros(len(o), dtype=bool)
+        lose[1:] = (hi[1:] == hi[:-1]) & (lo[1:] == lo[:-1])
+        sel = pa.array(o[lose], pa.int64())
+        return pa.table({id_col: g[id_col].take(sel), "p": g["p"].take(sel)})
 
     losers = (
-        slim.map_batches(add_bucket, batch_format="pandas")
+        ds.select_columns([id_col, text_col])
+        .map_batches(explode, batch_format="pyarrow")
         .groupby("bucket")
-        .map_groups(losers_in_group, batch_format="pandas")
-        .materialize()
+        .map_groups(losers_in_group, batch_format="pyarrow")
     )
     if mode == "auto":
+        losers = losers.materialize()
         mode = "broadcast" if losers.count() <= broadcast_limit else "sharded"
-
-    def rebuild(df: pd.DataFrame, loser_df: pd.DataFrame) -> pd.DataFrame:
-        paras = _paragraph_table(df, text_col, id_col, sep, with_text=True)
-        if len(loser_df):
-            m = paras.merge(
-                loser_df.rename(columns={"_id": id_col}),
-                on=[id_col, "p"], how="left", indicator=True,
-            )
-            paras = m.loc[m["_merge"] == "left_only", [id_col, "p", "v"]]
-        paras = paras.sort_values([id_col, "p"], kind="mergesort")
-        agg = paras.groupby(id_col, sort=False)["v"].agg(sep.join)
-        out = pd.DataFrame({id_col: df[id_col].to_numpy()})
-        out[text_col] = out[id_col].map(agg).fillna("")
-        return out
-
     table = KeyTable(losers, id_col, "p", placement=mode,
                      n_shards=max(4, n_buckets // 4), op="paragraph_dedup")
 
-    def rb(df: pd.DataFrame) -> pd.DataFrame:
-        uids = np.unique(df[id_col].to_numpy(dtype=np.int64))
-        qi, p = table.lookup(uids)
-        return rebuild(df, pd.DataFrame({"_id": uids[qi], "p": p}))
+    def rb(batch: pa.Table) -> pa.Table:
+        n = batch.num_rows
+        parent, flat = split_pieces(batch[text_col], sep)
+        p = positions(parent, n)
+        uids, uix = np.unique(np.asarray(batch[id_col], dtype=np.int64),
+                              return_inverse=True)
+        qi, lp = table.lookup(uids)
+        # (id index, p) as one int64: lookup answers sorted by (qi, lp)
+        width = max(int(p.max(initial=0)), int(lp.max(initial=0))) + 1
+        drop = contains_sorted(qi * width + lp, uix[parent] * width + p)
+        return pa.table({id_col: batch[id_col],
+                         text_col: join_kept(flat, parent, ~drop, n, sep)})
 
     return ds.select_columns([id_col, text_col]).map_batches(
-        rb, batch_format="pandas")
+        rb, batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------------------
