@@ -662,16 +662,15 @@ def test_hash_index_prunes_row_groups(ray_session, small_corpus, tmp_path):
         os.path.basename(p) for p in (rebuilt, other, urls_only))
 
 
-def _live_crawl(small_corpus, ckpt, cfg, limiter=None, sleep=None):
+def _live_crawl(small_corpus, ckpt, cfg, fetcher_cls=None, **fetcher_kwargs):
     from web_scraper_ray.crawl.frontier import load_crawl_order, run_crawl
     from web_scraper_ray.stages.fetch import CorpusFetcher
 
     res = run_crawl(
         f"{small_corpus}/pages", f"{small_corpus}/seeds.parquet", ckpt,
         robots_path=f"{small_corpus}/robots.parquet", config=cfg,
-        rate_limiter=limiter, fetcher_cls=CorpusFetcher,
-        fetcher_kwargs=dict({"pages_path": f"{small_corpus}/pages"},
-                            **({"sleep": sleep} if sleep else {})),
+        fetcher_cls=fetcher_cls or CorpusFetcher,
+        fetcher_kwargs={"pages_path": f"{small_corpus}/pages", **fetcher_kwargs},
     )
     assert not [n for n in os.listdir(ckpt) if n.startswith("admitted_")]
     return res, load_crawl_order(ckpt)
@@ -700,34 +699,67 @@ def test_live_fetch_mode_parity(ray_session, small_corpus, tmp_path_factory,
 def test_live_requeue_mode_parity(ray_session, small_corpus, tmp_path_factory,
                                   engine_result, model_result, budget_result,
                                   budget_model):
-    """A live crawl behind a ``RateLimiter`` on a virtual clock, with
-    per-host delays 10x apart and burst=1 so every host throttles (the
-    pool's ``ThrottledFetcher`` sleeps on the clock), still produces the
-    byte-identical crawl, unbounded and under ``max_pages=12``:
-    politeness binds at runtime, vt ordering is admission-side."""
-    import ray
+    """A live crawl is paced by the robots crawl delays on the real
+    clock: a recording ``CorpusFetcher`` sees each host's fetches start
+    at least ``delay_h`` apart, within a round and across rounds. And
+    the crawl is still the range-join crawl, unbounded and under
+    ``max_pages=12``: pacing binds at fetch time, vt ordering is
+    admission-side."""
+    import time
 
-    from web_scraper_ray.crawl.ratelimit import (
-        RateLimiter, VirtualClock, clock_fns,
-    )
+    from web_scraper_ray.functions.urls import extract_host
+    from web_scraper_ray.stages.fetch import CorpusFetcher
 
-    hosts = sorted(set(engine_result[1]["host"]))
-    delays = {h: (100 if i % 2 else 10) for i, h in enumerate(hosts)}
+    class RecordingFetcher(CorpusFetcher):
+        """Appends ``(url, monotonic time)`` per fetched row, one file
+        per process (the pacer's default clock is ``time.monotonic``)."""
+
+        def __init__(self, pages_path, log_dir):
+            super().__init__(pages_path)
+            self.log = os.path.join(log_dir, f"{os.getpid()}.tsv")
+
+        def __call__(self, batch):
+            t = time.monotonic()
+            with open(self.log, "a") as f:
+                f.writelines(f"{u}\t{t!r}\n" for u in batch["url"].to_pylist())
+            return super().__call__(batch)
+
+    robots = RobotsRules.from_parquet(f"{small_corpus}/robots.parquet",
+                                      CFG.default_crawl_delay_ms)
     for cfg, (res_rj, order_rj), (_, m_seen) in (
             (CFG, engine_result, model_result),
             (BUDGET_CFG, budget_result, budget_model)):
         cfg = dataclasses.replace(cfg, fetch_concurrency=2)
-        clock = ray.remote(VirtualClock).options(num_cpus=0).remote()
-        now, sleep = clock_fns(clock)
-        limiter = RateLimiter(RobotsRules({}, delays, default_delay_ms=10),
-                              n_shards=2, burst=1, clock=now)
-        ckpt = str(tmp_path_factory.mktemp(f"ckpt_live_limit_{cfg.max_pages}"))
-        res, order = _live_crawl(small_corpus, ckpt, cfg, limiter, sleep)
+        ckpt = str(tmp_path_factory.mktemp(f"ckpt_live_paced_{cfg.max_pages}"))
+        log_dir = str(tmp_path_factory.mktemp(f"fetch_log_{cfg.max_pages}"))
+        res, order = _live_crawl(small_corpus, ckpt, cfg, RecordingFetcher,
+                                 log_dir=log_dir)
         assert _order_rows(order) == _order_rows(order_rj), cfg.max_pages
         assert res.seen.snapshot() == m_seen
         assert (res.n_admitted, res.n_fetched) == (res_rj.n_admitted,
                                                    res_rj.n_fetched)
-        assert float(ray.get(clock.now.remote())) > 0.0  # throttling happened
+
+        # every admitted row is fetched once; each host's starts, over
+        # the whole crawl, are at least its delay apart
+        starts, urls = {}, []
+        for name in os.listdir(log_dir):
+            with open(os.path.join(log_dir, name)) as f:
+                for line in f:
+                    url, t = line.rstrip("\n").split("\t")
+                    urls.append(url)
+                    starts.setdefault(extract_host(url), []).append(float(t))
+        assert sorted(urls) == sorted(order["url"])
+        for host, ts in starts.items():
+            ts.sort()
+            d = robots.delay_ms(host) / 1000
+            assert all(b - a >= d for a, b in zip(ts, ts[1:])), host
+        # both cases occur: a paced host with two rows in one round,
+        # and one fetched in two rounds
+        per_round = order.assign(host=order["url"].map(extract_host)).groupby(
+            "host")["round"].agg(["size", "nunique"])
+        paced = per_round[[robots.delay_ms(h) > 0 for h in per_round.index]]
+        assert (paced["size"] > paced["nunique"]).any()
+        assert (paced["nunique"] > 1).any()
 
 
 def test_budget_cut_matches_in_memory_sort(ray_session, tmp_path):

@@ -334,6 +334,29 @@ def test_crawl_reads_are_footer_planned():
     assert "live_requeue" not in {f.name for f in dataclasses.fields(CrawlConfig)}
 
 
+def test_live_fetch_is_paced_by_the_frontier():
+    """A live crawl is paced by one fetch task per frontier run
+    (``crawl/frontier.py:_PacedFetcher``): the token-bucket limiter and
+    its fetch wrappers are gone, no module names them, ``CrawlConfig``
+    has no fetch batch size, and ``_live_fetch`` stays one streaming
+    execution (no ``materialize`` or ``count``)."""
+    import dataclasses
+
+    from web_scraper_ray.crawl.config import CrawlConfig
+
+    pkg = pathlib.Path(__file__).resolve().parents[1] / "web_scraper_ray"
+    assert not (pkg / "crawl" / "ratelimit.py").exists()
+    names = ("RateLimiter", "ThrottledFetcher", "fetch_with_requeue", "rate_limiter")
+    assert [f"{p.relative_to(pkg)}: {n}" for p in sorted(pkg.rglob("*.py"))
+            for n in names if n in p.read_text()] == []
+    assert "fetch_batch_size" not in {f.name for f in dataclasses.fields(CrawlConfig)}
+    live = [n for n in ast.parse((pkg / "crawl" / "frontier.py").read_text()).body
+            if isinstance(n, ast.FunctionDef) and n.name == "_live_fetch"]
+    assert len(live) == 1
+    assert [n.lineno for n in ast.walk(live[0]) if isinstance(n, ast.Attribute)
+            and n.attr in ("materialize", "count")] == []
+
+
 def _ops_tree(name: str) -> ast.Module:
     path = pathlib.Path(__file__).resolve().parents[1] / "web_scraper_ray" / "ops" / name
     return ast.parse(path.read_text())

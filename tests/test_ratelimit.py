@@ -1,179 +1,175 @@
-"""Live-mode politeness token buckets (deterministic injected clock)."""
+"""Live-crawl politeness: the paced per-run fetch task
+(``crawl/frontier.py:_PacedFetcher``), run in process on a fake clock
+through a recording inner fetcher."""
 
-import itertools
+import os
 
-from web_scraper_ray.crawl.ratelimit import HostTokenBuckets, RateLimiter, throttled_fetch_plan
+import pyarrow as pa
+import pyarrow.parquet as pq
+import pytest
+
+from web_scraper_ray.crawl import frontier
 from web_scraper_ray.crawl.robots import RobotsRules
+from web_scraper_ray.stages.fetch import FETCH_SCHEMA
+
+T0 = 100.0
 
 
 class FakeClock:
-    def __init__(self):
-        self.t = 0.0
+    """``now()``/``sleep(dt)``: sleeping advances time by exactly ``dt``."""
 
-    def __call__(self):
+    def __init__(self):
+        self.t = T0
+        self.sleeps = 0
+
+    def now(self):
         return self.t
 
-
-def _rules():
-    return RobotsRules({}, {"slow.example": 1000, "fast.example": 10},
-                       default_delay_ms=100)
-
-
-def test_token_bucket_grants_and_waits():
-    clock = FakeClock()
-    b = HostTokenBuckets(_rules(), 0, 1, burst=1, clock=clock)
-    # first request: token available
-    assert b.acquire_batch(["slow.example"]) == [0.0]
-    # immediately again: must wait ~1s (1000ms delay)
-    (w,) = b.acquire_batch(["slow.example"])
-    assert 0.9 <= w <= 1.0
-    # advance the clock past refill → granted again
-    clock.t = 1.1
-    assert b.acquire_batch(["slow.example"]) == [0.0]
+    def sleep(self, dt):
+        self.sleeps += 1
+        if self.sleeps > 10_000:
+            raise RuntimeError("the pacer keeps sleeping: livelock")
+        self.t += dt
 
 
-def test_per_host_independence():
-    clock = FakeClock()
-    b = HostTokenBuckets(_rules(), 0, 1, clock=clock)
-    assert b.acquire_batch(["slow.example", "fast.example"]) == [0.0, 0.0]
-    waits = b.acquire_batch(["slow.example", "fast.example"])
-    assert waits[0] > waits[1] > 0.0  # slow host waits longer
+class Recorder:
+    """Inner fetcher: records ``(url, now)`` per row, then takes
+    ``cost`` seconds of the clock per call; a url in ``missing`` answers
+    ``miss``, every other url ``fetched``."""
+
+    def __init__(self, at, log, missing=(), cost=0.0):
+        self.at, self.log, self.missing, self.cost = at, log, set(missing), cost
+
+    def __call__(self, batch):
+        urls = batch["url"].to_pylist()
+        self.log.extend((u, self.at.now()) for u in urls)
+        self.at.t += self.cost
+        ok = [u not in self.missing for u in urls]
+        return pa.table({
+            "url": urls,
+            "status": ["fetched" if o else "miss" for o in ok],
+            "html": [f"<p>{u}</p>".encode() if o else b"" for u, o in zip(urls, ok)],
+            "error": [""] * len(urls),
+        }, schema=FETCH_SCHEMA)
 
 
-def test_burst_capacity():
-    clock = FakeClock()
-    b = HostTokenBuckets(_rules(), 0, 1, burst=3, clock=clock)
-    grants = list(itertools.chain.from_iterable(
-        b.acquire_batch(["slow.example"]) for _ in range(4)
-    ))
-    assert grants[:3] == [0.0, 0.0, 0.0] and grants[3] > 0.0
+def _write_run(tmp_path, counts, delays):
+    """One frontier run: ``counts[h]`` rows of host ``h`` with the
+    admission's virtual times ``vt = rank × delay_h``."""
+    rows = [{"url": f"https://{h}/{k}", "host": h, "priority": k % 2,
+             "pvt": -1.0, "pli": k, "vt": float(k * delays[h])}
+            for h, n in counts.items() for k in range(n)]
+    ckpt = str(tmp_path)
+    os.makedirs(frontier._frontier_dir(ckpt, 0), exist_ok=True)
+    frontier._write_run(pa.Table.from_pylist(rows, schema=frontier.FRONTIER_SCHEMA),
+                        ckpt, 0, 0)
+    return frontier._run_path(ckpt, 0, 0)
 
 
-def test_throttled_fetcher_per_host_spacing(ray_session, tmp_path):
-    """VERDICT r1 item 5: the live fetch path must honor the rate
-    limiter — per-host spacing at crawl_delay, cross-host independence,
-    input-order output, all on an injected clock."""
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-    import ray
-    import ray.data
-
-    from web_scraper_ray.crawl.ratelimit import VirtualClock, clock_fns
-    from web_scraper_ray.stages.fetch import CorpusFetcher, fetch_stage
-
-    clock = ray.remote(VirtualClock).options(num_cpus=0).remote()
-    now, sleep = clock_fns(clock)
-    limiter = RateLimiter(_rules(), n_shards=2, burst=1, clock=now)
-
-    urls = [
-        "https://slow.example/0",
-        "https://fast.example/x",
-        "https://slow.example/1",
-        "https://slow.example/2",
-        "https://slow.example/3",
-    ]
-    pages = str(tmp_path / "pages.parquet")
-    pq.write_table(
-        pa.table({"url": urls,
-                  "html": [f"<html><body>{u}</body></html>".encode() for u in urls]}),
-        pages,
-    )
-    out = fetch_stage(
-        ray.data.from_items([{"url": u} for u in urls]).repartition(1),
-        CorpusFetcher, concurrency=1, batch_size=16,
-        limiter=limiter, sleep=sleep, stamp_grants=True, pages_path=pages,
-    ).to_pandas()
-
-    # output rows in input order, all fetched
-    assert out["url"].tolist() == urls
-    assert (out["status"] == "fetched").all()
-    grants = dict(zip(out["url"], out["granted_at"]))
-    # fast host: granted immediately
-    assert grants["https://fast.example/x"] == 0.0
-    # slow host (1000ms delay): consecutive grants spaced by >= ~1s
-    slow = sorted(g for u, g in grants.items() if "slow.example" in u)
-    assert slow[0] == 0.0
-    for a, b in zip(slow, slow[1:]):
-        assert b - a >= 0.999
-    # and the whole batch took ~3 virtual seconds, not more
-    assert 2.9 <= now() <= 3.1
+def _pace(path, delays, cutoff=None, missing=(), errors_dir=None, cost=0.0):
+    clock, log = FakeClock(), []
+    rules = RobotsRules({}, delays, default_delay_ms=100)
+    pacer = frontier._PacedFetcher(
+        inner_cls=Recorder, load_robots=lambda: rules, cutoff=cutoff,
+        errors_dir=errors_dir, clock=clock, at=clock, log=log, missing=missing,
+        cost=cost)
+    out = list(pacer(pa.table({"file": [path]})))
+    return pa.concat_tables(out) if out else None, log, clock
 
 
-def test_no_epsilon_livelock():
-    """Regression: sleeping EXACTLY the returned wait must always make
-    progress. At fractional rates (5 ms delay → rate 200/s) the refill
-    for (1-tokens)/rate seconds can land at 0.999… < 1.0 in float64;
-    without the bucket's grant epsilon the next wait is ~5e-19 s whose
-    clock advance rounds away entirely — an infinite loop."""
-    clock = FakeClock()
-    b = HostTokenBuckets(RobotsRules({}, {}, default_delay_ms=5), 0, 1,
-                         burst=1, clock=clock)
-    grants = iters = 0
-    while grants < 50:
-        (w,) = b.acquire_batch(["h.example"])
-        iters += 1
-        assert iters < 1000, "epsilon livelock: waits never reach a grant"
-        if w == 0.0:
-            grants += 1
-        else:
-            clock.t += w  # the adversarial exact-wait sleeper
+def _starts(log):
+    by_host = {}
+    for url, t in log:
+        by_host.setdefault(url.split("/")[2], []).append(t)
+    return by_host
 
 
-def test_fetch_with_requeue_hosts_drain_independently(ray_session, tmp_path):
-    """VERDICT r2 item 7: deferred rows re-queue instead of sleeping
-    inside the actor — a slow host (1 s crawl delay) must not delay a
-    fast host's rows (10 ms delay), and every row still fetches exactly
-    once under the injected clock."""
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-    import ray
-    import ray.data
-
-    from web_scraper_ray.crawl.ratelimit import VirtualClock, clock_fns
-    from web_scraper_ray.stages.fetch import CorpusFetcher, fetch_with_requeue
-
-    clock = ray.remote(VirtualClock).options(num_cpus=0).remote()
-    now, sleep = clock_fns(clock)
-    limiter = RateLimiter(_rules(), n_shards=2, burst=1, clock=now)
-
-    slow = [f"https://slow.example/{i}" for i in range(4)]
-    fast = [f"https://fast.example/{i}" for i in range(4)]
-    urls = slow + fast
-    pages = str(tmp_path / "pages.parquet")
-    pq.write_table(
-        pa.table({"url": urls,
-                  "html": [f"<html><body>{u}</body></html>".encode() for u in urls]}),
-        pages,
-    )
-    ds = ray.data.from_items([{"url": u} for u in urls]).repartition(1)
-    fetched, rounds = fetch_with_requeue(
-        ds, CorpusFetcher, limiter=limiter, sleep=sleep,
-        concurrency=1, batch_size=16, pages_path=pages,
-    )
-    df = fetched.to_pandas()
-    # every row fetched exactly once, none lost or duplicated
-    assert sorted(df["url"]) == sorted(urls)
-    assert (df["status"] == "fetched").all()
-    # independence: the fast host drains in EARLIER rounds than the
-    # slow host — its rows never wait behind slow.example's 1 s tokens
-    by_round = {u: r for u, r in zip(df["url"], df["fetch_round"])}
-    assert max(by_round[u] for u in fast) < max(by_round[u] for u in slow)
-    # total virtual time is the slow host's own schedule (3 × ~1 s),
-    # not a sum over hosts — and the loop took > 1 admission round
-    assert rounds > 1
-    assert 2.9 <= now() <= 3.2
+def test_per_host_spacing(tmp_path):
+    """Each host's first fetch starts at least ``delay_h`` after the
+    task's start, its next ones at least ``delay_h`` apart, and its rows
+    go in the frontier's order (vt first)."""
+    delays = {"slow.example": 1000, "mid.example": 100, "none.example": 0}
+    counts = {"slow.example": 4, "mid.example": 6, "none.example": 3}
+    path = _write_run(tmp_path, counts, delays)
+    _, log, _ = _pace(path, delays)
+    for host, starts in _starts(log).items():
+        d = delays[host] / 1000
+        assert len(starts) == counts[host]
+        assert starts[0] >= T0 + d
+        assert all(b - a >= d - 1e-9 for a, b in zip(starts, starts[1:])), host
+    run = pq.read_table(path)
+    order = sorted(zip(*(run[c].to_pylist() for c in ["host"] + frontier.ORDER_KEYS)))
+    for host in counts:
+        assert [u for u, _ in log if u.split("/")[2] == host] == [
+            r[-1] for r in order if r[0] == host]
 
 
-def test_rate_limiter_actors_and_plan(ray_session):
-    limiter = RateLimiter(_rules(), n_shards=2, burst=1)
-    urls = [
-        "https://slow.example/a",
-        "https://slow.example/b",
-        "https://fast.example/c",
-    ]
-    ready, deferred = throttled_fetch_plan(urls, limiter)
-    # one slow.example url admitted, the second deferred with a wait
-    assert "https://slow.example/a" in ready
-    assert "https://fast.example/c" in ready
-    assert len(deferred) == 1
-    assert deferred[0][0] == "https://slow.example/b" and deferred[0][1] > 0.0
+def test_late_calls_never_burst_a_host(tmp_path):
+    """A fetch call that takes longer than a host's delay (30 ms a call,
+    delays of 10 ms) makes that host late, never bursty: one row per
+    host per call, the next due ``delay_h`` after the call returned."""
+    delays = {"a.example": 10, "b.example": 10, "c.example": 0}
+    counts = {"a.example": 6, "b.example": 5, "c.example": 4}
+    _, log, _ = _pace(_write_run(tmp_path, counts, delays), delays, cost=0.03)
+    assert len(log) == sum(counts.values())
+    for host, starts in _starts(log).items():
+        d = delays[host] / 1000
+        assert all(b - a >= d - 1e-9 for a, b in zip(starts, starts[1:])), host
+
+
+def test_per_host_independence(tmp_path):
+    """A slow host never holds back a fast one: with delays of 10 ms and
+    1000 ms, all of the fast host's rows start before the slow host's
+    second row."""
+    delays = {"slow.example": 1000, "fast.example": 10}
+    counts = {"slow.example": 3, "fast.example": 8}
+    _, log, clock = _pace(_write_run(tmp_path, counts, delays), delays)
+    starts = _starts(log)
+    assert max(starts["fast.example"]) < starts["slow.example"][1]
+    # the task takes the slow host's own schedule, not a sum over hosts
+    assert clock.now() - T0 == pytest.approx(3.0, abs=1e-3)
+
+
+def test_no_epsilon_livelock(tmp_path):
+    """A clock that sleeps exactly the returned wait always makes
+    progress: a 5 ms delay, 50 rows, at most two sleeps per row."""
+    delays = {"h.example": 5}
+    _, log, clock = _pace(_write_run(tmp_path, {"h.example": 50}, delays), delays)
+    assert len(log) == 50
+    assert clock.sleeps <= 100
+
+
+def test_every_row_fetched_once_with_meta(tmp_path):
+    """Every row of the run reaches the inner fetcher exactly once. The
+    fetched rows come out with the run's META_COLUMNS, and a row the
+    fetcher misses lands in ``errors_dir`` instead."""
+    delays = {"a.example": 20, "b.example": 0, "c.example": 50}
+    path = _write_run(tmp_path, {"a.example": 5, "b.example": 4, "c.example": 3},
+                      delays)
+    run = pq.read_table(path)
+    missing = {"https://a.example/2", "https://c.example/0"}
+    errors = str(tmp_path / "errors")
+    out, log, _ = _pace(path, delays, missing=missing, errors_dir=errors)
+    assert sorted(u for u, _ in log) == sorted(run["url"].to_pylist())
+    cols = ["url"] + frontier.META_COLUMNS
+    want = sorted(r for r in zip(*(run[c].to_pylist() for c in cols))
+                  if r[0] not in missing)
+    assert sorted(zip(*(out[c].to_pylist() for c in cols))) == want
+    assert out["html"].to_pylist() == [f"<p>{u}</p>".encode()
+                                      for u in out["url"].to_pylist()]
+    lost = pq.read_table(errors)
+    assert sorted(lost["url"].to_pylist()) == sorted(missing)
+    assert set(lost["status"].to_pylist()) == {"miss"}
+
+
+def test_only_rows_up_to_cutoff(tmp_path):
+    """Under a budget cut the task fetches only the rows whose ORDER_KEYS
+    tuple is at most the round's cutoff."""
+    delays = {"a.example": 10, "b.example": 30}
+    path = _write_run(tmp_path, {"a.example": 6, "b.example": 6}, delays)
+    rows = sorted(zip(*(pq.read_table(path)[c].to_pylist()
+                        for c in frontier.ORDER_KEYS)))
+    cutoff = list(rows[6])
+    out, log, _ = _pace(path, delays, cutoff=cutoff)
+    assert sorted(u for u, _ in log) == sorted(r[-1] for r in rows[:7])
+    assert sorted(out["url"].to_pylist()) == sorted(r[-1] for r in rows[:7])

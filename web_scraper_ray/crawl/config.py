@@ -27,10 +27,9 @@ class CrawlConfig:
     # dir). Built once per corpus, in a directory named by the digest
     # of the corpus files, so it is reused until the corpus changes.
     index_dir: str | None = None
-    # run_crawl's fetcher_cls replaces the corpus join with an actor
-    # pool: its width and rows per fetch call
+    # run_crawl's fetcher_cls replaces the corpus join with paced
+    # fetch tasks, one per frontier run: how many run at once
     fetch_concurrency: int = 4
-    fetch_batch_size: int = 64
     # URL pre-fetch quality gate (ops/urlgate.py — RefinedWeb §3.1):
     # kwargs for url_gate_frame (blocked_hosts / banned_tokens /
     # max_len / max_depth / max_digit_pct), applied to every CANDIDATE

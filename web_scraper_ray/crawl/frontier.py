@@ -87,8 +87,10 @@ Scale notes (10^10 frontier, SURVEY.md §7):
   ``uh`` touches, and keeps the corpus rows whose url string equals an
   admitted url. A sparse round reads few row groups; a dense one reads
   each once. No process holds the admitted set and no html shuffles.
-  With ``fetcher_cls`` an actor-pool fetcher replaces the join (the
-  live deployment shape).
+  With ``fetcher_cls``, one paced fetch task per frontier run replaces
+  the join (the live deployment shape): a run holds all of its hosts'
+  rows of the round, so the task spaces each host's fetches by its
+  crawl delay with no shared state.
 * Hot hosts serialize only their *ordering*, not their fetches: the
   bucket task sorts its Arrow table by (host, priority, pvt, pli, url)
   and ranks each host's rows from the run starts of the sorted ``host``
@@ -104,6 +106,7 @@ Scale notes (10^10 frontier, SURVEY.md §7):
 
 from __future__ import annotations
 
+import heapq
 import json
 import os
 import shutil
@@ -164,6 +167,8 @@ LAYOUT_GROUP_ROWS = 4096
 ORDER_KEYS = ["vt", "priority", "pvt", "pli", "url"]
 #: frontier metadata that rides the fetch-join → extraction → discovery
 META_COLUMNS = ["priority", "vt", "pvt", "pli"]
+#: rows per block of a footer-planned read (:func:`_planned_read`)
+READ_BLOCK_ROWS = 8192
 
 
 class StaleCheckpointError(RuntimeError):
@@ -247,13 +252,12 @@ def _push_candidate(rows: dict, canon: str, priority: int, pvt: float, pli: int,
     rows["bucket"].append(url_hash64(host) % n_buckets)
 
 
-def _planned_read(files: list, columns: list, fn, block_rows: int = 8192,
-                  max_blocks: Optional[int] = None) -> Optional[ray.data.Dataset]:
+def _planned_read(files: list, columns: list, fn) -> Optional[ray.data.Dataset]:
     """``fn`` over row slices of the ``columns`` of ``files`` (a column a
     file lacks is left out), in a read planned from the files' footers
-    alone: ``(file, rg, lo, hi)`` items, ``max(1, min(max_blocks,
-    ⌈rows / block_rows⌉))`` blocks (default cap 2×CPU), a row group larger
-    than a block's share cut into slices. No row is read and no sampling
+    alone: ``(file, rg, lo, hi)`` items, ``max(1, min(2×CPU,
+    ⌈rows / READ_BLOCK_ROWS⌉))`` blocks, a row group larger than a
+    block's share cut into slices. No row is read and no sampling
     task runs on the driver's behalf, as Ray Data's parquet datasource
     would (0.47-0.65 s stalls seen on a 1-CPU host). Only the plan's size
     follows the cluster, so bytes are parallelism-independent. ``None``
@@ -263,7 +267,7 @@ def _planned_read(files: list, columns: list, fn, block_rows: int = 8192,
     n_rows = sum(n for _, _, n in groups)
     if not n_rows:
         return None
-    blocks = max(1, min(max_blocks or 2 * (_cpus() or 32), -(-n_rows // block_rows)))
+    blocks = max(1, min(2 * (_cpus() or 32), -(-n_rows // READ_BLOCK_ROWS)))
     share = -(-n_rows // blocks)
     items = [{"file": f, "rg": g, "lo": i * n // cuts, "hi": (i + 1) * n // cuts}
              for f, g, n in groups for cuts in [-(-n // share)] for i in range(cuts)]
@@ -279,15 +283,13 @@ def _planned_read(files: list, columns: list, fn, block_rows: int = 8192,
                                ).map_batches(read, batch_format="pyarrow", batch_size=1)
 
 
-def _read_runs(files: list, columns: list, cutoff: Optional[list],
-               **plan) -> ray.data.Dataset:
+def _read_runs(files: list, columns: list, cutoff: Optional[list]) -> ray.data.Dataset:
     """``columns`` of the frontier runs ``files`` (non-empty), read by
-    :func:`_planned_read` (``plan``: its block sizing). With the
-    ``cutoff`` of a round a budget truncated, only its admitted rows,
-    those up to the cutoff, are kept, inside the read task (``columns``
-    must hold ORDER_KEYS)."""
+    :func:`_planned_read`. With the ``cutoff`` of a round a budget
+    truncated, only its admitted rows, those up to the cutoff, are kept,
+    inside the read task (``columns`` must hold ORDER_KEYS)."""
     return _planned_read(files, columns, (lambda t: t) if cutoff is None
-                         else (lambda t: t.filter(_le_cutoff(t, cutoff))), **plan)
+                         else (lambda t: t.filter(_le_cutoff(t, cutoff))))
 
 
 def _seed_candidates(seeds_path: str, robots_ref, config: CrawlConfig,
@@ -644,57 +646,103 @@ def _record_lost(out: pa.Table, errors_dir: Optional[str]) -> pa.Array:
     return keep
 
 
-class _MetaCarryingFetcher:
-    """Live-mode fetch actor: wraps any fetcher class (optionally
-    behind the token-bucket ``RateLimiter`` via ``ThrottledFetcher``)
-    and carries the frontier's META_COLUMNS through positionally —
-    legal because every fetcher contract is 1:1 and order-preserving.
-    This is the "actor-pool HTTP fetcher replaces the corpus join"
-    deployment shape the corpus join stands in for."""
+class _PacedFetcher:
+    """Live fetch of a round, one frontier run per call: run_crawl's
+    ``fetcher_cls`` (``inner_cls`` here, built from ``inner_kwargs``)
+    in place of the corpus join. Run b holds every admitted row of
+    every host in bucket b, so this task alone paces those hosts, and
+    no process shares per-host state.
 
-    def __init__(self, inner_cls=None, limiter=None, sleep=None,
-                 errors_dir: Optional[str] = None, **inner_kwargs):
-        from ..stages.fetch import ThrottledFetcher
+    A host's rows go in vt order. Its k-th row has ``vt − vt_first_h =
+    k × delay_h``: the frontier's own schedule. The task holds it
+    against the clock: the first row is due ``delay_h`` after the
+    task's start, and each next row ``delay_h`` after the fetch call
+    that took the one before returned. So a late call delays only its
+    own hosts and never bursts one. Each loop fetches the due row of
+    every host in one inner call and yields the fetched rows with
+    META_COLUMNS (every fetcher contract is 1:1 and order-preserving);
+    the rest go to ``errors_dir`` (:func:`_record_lost`). Then it
+    sleeps until the next due time. A round's execution starts only
+    after the previous round's has ended, so the first ``delay_h``
+    keeps the spacing across rounds.
 
-        if limiter is not None:
-            self.inner = ThrottledFetcher(inner_cls=inner_cls, limiter=limiter,
-                                          sleep=sleep, **inner_kwargs)
-        else:
-            self.inner = inner_cls(**inner_kwargs)
+    ``load_robots()`` returns the crawl's robots rules; it runs here, in
+    the fetch actor. ``clock`` (``now()``, ``sleep(dt)``; default
+    ``time.monotonic``/``time.sleep``) is the test seam."""
+
+    def __init__(self, inner_cls, load_robots, cutoff: Optional[list] = None,
+                 errors_dir: Optional[str] = None, clock=None, **inner_kwargs):
+        self.inner = inner_cls(**inner_kwargs)
+        self.robots: RobotsRules = load_robots()
+        self.cutoff = cutoff
         self.errors_dir = errors_dir
+        self.now, self.sleep = ((clock.now, clock.sleep) if clock is not None
+                                else (time.monotonic, time.sleep))
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out = self.inner(batch.select(["url"]))
-        keep = _record_lost(out, self.errors_dir)
-        fetched = pa.table({"url": out["url"], "html": out["html"]})
-        for c in META_COLUMNS:
-            fetched = fetched.append_column(c, batch[c])
-        return fetched.filter(keep)
+    def __call__(self, batch: pa.Table):
+        for path in batch["file"].to_pylist():
+            yield from self._fetch_run(path)
+
+    def _fetch_run(self, path: str):
+        t = pq.read_table(path, columns=["url", "host"] + META_COLUMNS)
+        if self.cutoff is not None:  # a budget admitted only the rows up to it
+            t = t.filter(_le_cutoff(t, self.cutoff))
+        t = t.sort_by([(c, "ascending") for c in ["host"] + ORDER_KEYS])
+        starts = np.flatnonzero(_run_heads(t["host"]))
+        ends = np.append(starts[1:], t.num_rows)
+        delays = [self.robots.delay_ms(h) / 1000.0
+                  for h in t["host"].take(starts).to_pylist()]
+        nxt = starts.tolist()
+        t0 = self.now()
+        due = [(t0 + d, i) for i, d in enumerate(delays)]  # (due time, host)
+        heapq.heapify(due)
+        while due:
+            now = self.now()
+            if due[0][0] > now:
+                # floor the wait: a clock that sleeps exactly the
+                # difference can land an ulp short of the due time
+                self.sleep(max(due[0][0] - now, 1e-6))
+                continue
+            ready = []
+            while due and due[0][0] <= now:
+                ready.append(heapq.heappop(due)[1])
+            rows = t.take([nxt[i] for i in ready])
+            out = self.inner(rows.select(["url"]))
+            keep = _record_lost(out, self.errors_dir)
+            end = self.now()
+            for i in ready:
+                nxt[i] += 1
+                if nxt[i] < ends[i]:
+                    heapq.heappush(due, (end + delays[i], i))
+            yield pa.table({"url": out["url"], "html": out["html"],
+                            **{c: rows[c] for c in META_COLUMNS}}).filter(keep)
 
 
-def _live_fetch(runs: list, cutoff: Optional[list], config: CrawlConfig,
-                fetcher_cls, fetcher_kwargs: Optional[dict], rate_limiter,
+def _live_fetch(runs: list, cutoff: Optional[list], robots_ref,
+                config: CrawlConfig, fetcher_cls, fetcher_kwargs: Optional[dict],
                 errors_dir: str) -> ray.data.Dataset:
-    """Live fetch path (run_crawl's ``fetcher_cls``, no corpus join): the
-    round's admitted rows (:func:`_read_runs`, about two blocks per pool
-    actor, or one actor would get them all) stream into a
-    :class:`_MetaCarryingFetcher` actor pool with META_COLUMNS riding
-    along, optionally behind ``rate_limiter``. With ``CorpusFetcher``
-    this equals the corpus join byte for byte
-    (test_live_fetch_mode_parity); with ``HttpFetcher`` +
-    ``rate_limiter`` it is the real deployment. Un-fetched rows land in
-    ``errors_dir`` (see _record_lost)."""
-    adm = _read_runs(runs, ["url"] + META_COLUMNS, cutoff,
-                     block_rows=config.fetch_batch_size,
-                     max_blocks=2 * config.fetch_concurrency)
-    return adm.map_batches(
-        _MetaCarryingFetcher,
+    """Live fetch path (run_crawl's ``fetcher_cls``, no corpus join):
+    one :class:`_PacedFetcher` task per frontier run, at most
+    ``config.fetch_concurrency`` at once, no more actors than runs, and
+    no CPU reserved for them. With ``CorpusFetcher`` this equals the
+    corpus join byte for byte (test_live_fetch_mode_parity); with
+    ``HttpFetcher`` it is the real deployment
+    (tests/test_live_http.py)."""
+    return ray.data.from_items(
+        [{"file": f} for f in runs], override_num_blocks=len(runs)
+    ).map_batches(
+        _PacedFetcher,
+        batch_size=1,
         batch_format="pyarrow",
-        batch_size=config.fetch_batch_size,
-        concurrency=config.fetch_concurrency,
+        concurrency=min(config.fetch_concurrency, len(runs)),
+        # a paced task waits on the clock or the network: a CPU held by
+        # it would keep extraction from overlapping the fetch, and a
+        # finished pool's actor lives on until the driver's cyclic GC
+        # frees its handle (extraction was seen waiting 15-20 s for it)
+        num_cpus=0,
         fn_constructor_kwargs=dict(
-            inner_cls=fetcher_cls, limiter=rate_limiter,
-            errors_dir=errors_dir, **(fetcher_kwargs or {}),
+            inner_cls=fetcher_cls, load_robots=lambda: ray.get(robots_ref),
+            cutoff=cutoff, errors_dir=errors_dir, **(fetcher_kwargs or {}),
         ),
     )
 
@@ -710,9 +758,8 @@ def _extract_with_meta(batch: pa.Table) -> pa.Table:
 
 def _fetch_and_extract(
     pages_path: str, ckpt: str, round_no: int, odir: str,
-    cutoff: Optional[list], config: CrawlConfig,
+    cutoff: Optional[list], robots_ref, config: CrawlConfig,
     fetcher_cls=None, fetcher_kwargs: Optional[dict] = None,
-    rate_limiter=None,
 ) -> ray.data.Dataset:
     """Fetch the round's admitted urls, then run the extraction kernel.
 
@@ -722,9 +769,10 @@ def _fetch_and_extract(
     ``sources/hashindex.py``, keyed by the same hash (built once per
     corpus under ``config.index_dir``, default a ``pages_hidx`` sibling
     of the pages dir). A round a budget truncated fetches only its rows
-    up to ``cutoff``. With ``fetcher_cls`` there is no corpus join: the
-    admitted rows feed an actor-pool fetcher, optionally behind
-    ``rate_limiter`` (:func:`_live_fetch`, the live deployment shape).
+    up to ``cutoff``. With ``fetcher_cls`` there is no corpus join:
+    one paced fetch task per frontier run fetches the admitted rows,
+    each host's spaced by its robots crawl delay (:func:`_live_fetch`,
+    the live deployment shape).
 
     Either way the frontier's ordering metadata (META_COLUMNS) rides the
     fetched rows as columns, so extraction and discovery need no
@@ -744,8 +792,8 @@ def _fetch_and_extract(
             columns=["url", "html"], rows_per_group=LAYOUT_GROUP_ROWS)
         fetched = _range_fetch_join(layout, runs, cutoff)
     else:
-        fetched = _live_fetch(runs, cutoff, config, fetcher_cls, fetcher_kwargs,
-                              rate_limiter, os.path.join(odir, "errors"))
+        fetched = _live_fetch(runs, cutoff, robots_ref, config, fetcher_cls,
+                              fetcher_kwargs, os.path.join(odir, "errors"))
     extracted = fetched.map_batches(_extract_with_meta, batch_format="pyarrow",
                                     batch_size=256)
     return _write_and_slim_stage(extracted, round_no, odir)
@@ -892,17 +940,18 @@ def run_crawl(
     resume: bool = False,
     fetcher_cls=None,
     fetcher_kwargs: Optional[dict] = None,
-    rate_limiter=None,
 ) -> CrawlResult:
     """Run (or resume) the frontier crawl. See module docstring.
 
     Pages come from the corpus ``pages_path`` by the range fetch-join.
-    Passing ``fetcher_cls`` replaces that join with an actor-pool fetcher
-    constructed with ``fetcher_kwargs``: ``stages.fetch.CorpusFetcher``
-    (``pages_path=...``) offline, or ``HttpFetcher`` + a
-    ``rate_limiter`` for a real deployment — the limiter binds per-host
-    politeness across the whole pool. Resuming from runs written before
-    the hash-sorted run format raises :class:`StaleCheckpointError`."""
+    Passing ``fetcher_cls`` replaces that join with paced fetch tasks,
+    one per frontier run, each holding a fetcher constructed with
+    ``fetcher_kwargs``: ``stages.fetch.CorpusFetcher``
+    (``pages_path=...``) offline, or ``HttpFetcher`` for a real
+    deployment. A host's fetches start at least its robots crawl delay
+    apart, within a round and across rounds (:class:`_PacedFetcher`).
+    Resuming from runs written before the hash-sorted run format raises
+    :class:`StaleCheckpointError`."""
     os.makedirs(checkpoint_dir, exist_ok=True)
     ctx = ray.data.DataContext.get_current()
     ctx.enable_progress_bars = False
@@ -962,8 +1011,8 @@ def run_crawl(
         # output write) → discovery → fused admit → next frontier's runs
         odir = os.path.join(checkpoint_dir, f"output_{r:04d}")
         out_slim = _fetch_and_extract(pages_path, checkpoint_dir, r, odir,
-                                      cutoffs.get(r), config, fetcher_cls,
-                                      fetcher_kwargs, rate_limiter)
+                                      cutoffs.get(r), robots_ref, config,
+                                      fetcher_cls, fetcher_kwargs)
         n_next = 0
         if r < config.max_depth:
             cands = _link_candidates(out_slim, robots_ref, config, n_buckets)

@@ -43,7 +43,6 @@ def run_job(
     pages_path: Optional[str] = None,
     fetcher_cls=CorpusFetcher,
     concurrency: int = 4,
-    rate_limiter=None,
 ) -> JobResult:
     """Process a seed URL list exactly as the reference CLI does
     (cli.py:241-395): per-URL fetch+extract+format, then the
@@ -52,9 +51,9 @@ def run_job(
     ``pages_path`` backs the offline fetch (live deploys pass
     ``HttpFetcher`` and no corpus). The default offline path fetches
     via ``corpus_scan_fetch`` — one streaming corpus scan against the
-    broadcast seed set — so no actor holds the whole corpus.
-    ``rate_limiter`` (a ``crawl.ratelimit.RateLimiter``) binds per-host
-    politeness to a live fetcher pool via ``ThrottledFetcher``."""
+    broadcast seed set — so no actor holds the whole corpus. A job
+    fetches its seed list once and has no robots input, so it does not
+    pace hosts; a live crawl does (``crawl.frontier.run_crawl``)."""
     config = merge_defaults(config or {})
     out_cfg = config["output"]
     fmt = out_cfg.get("format", "markdown")
@@ -74,7 +73,7 @@ def run_job(
              "total_tokens": 0, "total_images": 0},
             [], None, [],
         )
-    if fetcher_cls is CorpusFetcher and pages_path and rate_limiter is None:
+    if fetcher_cls is CorpusFetcher and pages_path:
         # offline default: scan-join (corpus scanned once, seed set
         # broadcast) instead of a per-actor full-corpus dict
         fetched = corpus_scan_fetch([r["url"] for r in seed_rows], pages_path)
@@ -82,7 +81,6 @@ def run_job(
         ds = ray.data.from_items(seed_rows)
         fetched = fetch_stage(
             ds.select_columns(["url"]), fetcher_cls, concurrency=concurrency,
-            limiter=rate_limiter,
             **({"pages_path": pages_path} if fetcher_cls is CorpusFetcher else {}),
         )
     ok = fetched.map_batches(

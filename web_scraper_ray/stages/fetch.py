@@ -17,11 +17,15 @@ imported lazily; without them the actor falls back to the deterministic
 ``CorpusFetcher`` behavior or raises at construction in strict mode.
 ``CorpusFetcher`` — fetch-join against a Parquet pages corpus — is the
 offline stand-in used by the frontier engine and tests.
+
+Per-host politeness is not a fetcher concern: a live crawl wraps any
+of these classes in its paced per-run fetch task
+(``crawl/frontier.py:_PacedFetcher``), which spaces each host's
+fetches by the robots crawl delay the frontier's virtual times use.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Optional
 
 import pyarrow as pa
@@ -102,7 +106,7 @@ class HttpFetcher:
             return self.fallback(batch)
         urls = batch["url"].to_pylist()
         status, htmls, errors = [], [], []
-        for u in urls:  # pragma: no cover - requires network
+        for u in urls:
             try:
                 resp = self.session.get(u, timeout=self.timeout_s)
                 resp.raise_for_status()
@@ -158,205 +162,6 @@ class BrowserFetcher:
         return self.fallback(batch)
 
 
-class ThrottledFetcher:
-    """Politeness-bound fetch: binds the sharded token-bucket
-    ``RateLimiter`` (``crawl/ratelimit.py``) to any fetcher class — the
-    live-mode complement of the frontier engine's virtual-time
-    politeness (the reference has no rate limiting at all; its
-    sequential loop is accidentally polite, ``contxt/cli.py:276-307``).
-
-    Per batch it runs admission WAVES: acquire one token per row's
-    host; granted rows fetch NOW through the inner fetcher, throttled
-    rows wait for the earliest token accrual and re-enter the next
-    wave (the ready/deferred split of ``throttled_fetch_plan``, bounded
-    to one batch). Output rows return in input order. The limiter's
-    bucket shards are Ray actors shared by the WHOLE fetch pool, so
-    per-host spacing holds across actors, not per actor.
-
-    ``sleep`` / the limiter's clock are injectable (deterministic
-    tests); with ``stamp_grants=True`` a ``granted_at`` float column
-    (seconds of intra-batch wait before the row's fetch) is appended
-    for inspection.
-
-    ``defer=True`` switches to NON-BLOCKING admission: one acquire
-    wave per batch, granted rows fetch now, throttled rows return
-    immediately with ``status='deferred'`` and a ``retry_after``
-    seconds column (0.0 on fetched rows) instead of being slept on —
-    so one slow host never idles the actor or stalls co-resident
-    hosts. :func:`fetch_with_requeue` is the round loop that
-    re-circulates deferred rows."""
-
-    def __init__(self, inner_cls=None, limiter=None, sleep=None,
-                 stamp_grants: bool = False, defer: bool = False,
-                 **inner_kwargs):
-        assert inner_cls is not None and limiter is not None
-        self.inner = inner_cls(**inner_kwargs)
-        self.limiter = limiter  # actor handles — serialize fine
-        self.sleep = sleep if sleep is not None else time.sleep
-        self.stamp_grants = stamp_grants
-        self.defer = defer
-
-    def _call_defer(self, batch: pa.Table) -> pa.Table:
-        from ..functions.urls import extract_host
-
-        urls = batch["url"].to_pylist()
-        waits = self.limiter.acquire([extract_host(u) for u in urls])
-        ready = [i for i, w in enumerate(waits) if w == 0.0]
-        fetched = self.inner(batch.take(ready)) if ready else None
-        status, htmls, errors, retry = [], [], [], []
-        cursor = 0
-        for i, w in enumerate(waits):
-            if w == 0.0:
-                status.append(fetched["status"][cursor].as_py())
-                htmls.append(fetched["html"][cursor].as_py())
-                errors.append(fetched["error"][cursor].as_py())
-                retry.append(0.0)
-                cursor += 1
-            else:
-                status.append("deferred")
-                htmls.append(b"")
-                errors.append("")
-                retry.append(float(w))
-        out = pa.table(
-            {
-                "url": pa.array(urls, pa.string()),
-                "status": pa.array(status, pa.string()),
-                "html": pa.array(htmls, pa.large_binary()),
-                "error": pa.array(errors, pa.string()),
-            },
-            schema=FETCH_SCHEMA,
-        )
-        return out.append_column("retry_after", pa.array(retry, pa.float64()))
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..functions.urls import extract_host
-
-        if self.defer:
-            return self._call_defer(batch)
-        n = batch.num_rows
-        if n == 0:
-            out = self.inner(batch)
-            if self.stamp_grants:
-                out = out.append_column("granted_at", pa.array([], pa.float64()))
-            return out
-        hosts = [extract_host(u) for u in batch["url"].to_pylist()]
-        pending = list(range(n))
-        waited = 0.0
-        pieces: list[tuple[list[int], pa.Table, float]] = []
-        while pending:
-            waits = self.limiter.acquire([hosts[i] for i in pending])
-            ready = [i for i, w in zip(pending, waits) if w == 0.0]
-            if ready:
-                pieces.append((ready, self.inner(batch.take(ready)), waited))
-            pending = [i for i, w in zip(pending, waits) if w > 0.0]
-            if pending:
-                # floor the wait: an epsilon-sized dt (float residue of
-                # the bucket's refill arithmetic) would advance the
-                # clock by an amount that rounds away — no progress
-                dt = max(min(w for w in waits if w > 0.0), 1e-6)
-                self.sleep(dt)
-                waited += dt
-        merged = pa.concat_tables(t for _, t, _ in pieces)
-        order = [i for idxs, _, _ in pieces for i in idxs]
-        inv = sorted(range(len(order)), key=order.__getitem__)
-        out = merged.take(inv)
-        if self.stamp_grants:
-            grants = [0.0] * n
-            for idxs, _, at in pieces:
-                for i in idxs:
-                    grants[i] = at
-            out = out.append_column("granted_at", pa.array(grants, pa.float64()))
-        return out
-
-
-def fetch_with_requeue(
-    ds,
-    fetcher_cls=CorpusFetcher,
-    limiter=None,
-    sleep=None,
-    concurrency: int = 4,
-    batch_size: int = 64,
-    max_rounds: int = 10_000,
-    **fetcher_kwargs,
-):
-    """Non-blocking politeness-bound fetch of a url Dataset: each round
-    runs the pool in ``defer`` mode (granted rows fetch, throttled rows
-    come back with ``status='deferred'`` + ``retry_after``), then the
-    loop sleeps only until the EARLIEST deferred token accrues and
-    re-queues just those rows. Hosts drain independently — a host with
-    a 10 s crawl delay never delays another host's rows or idles a
-    fetch actor (the blocking in-batch wave loop it replaces slept the
-    whole actor until its slowest host finished).
-
-    Returns ``(fetched, rounds)``: the union of per-round fetched
-    outputs (FETCH_SCHEMA + retry_after + ``fetch_round``, arbitrary
-    order — politeness ordering is the frontier engine's job, not the
-    live fetcher's) and the number of admission rounds taken. ``sleep``
-    is injectable (VirtualClock tests); per-round results materialize
-    so re-queued rounds never re-fetch granted rows."""
-    import pyarrow.compute as pc
-
-    import ray.data
-
-    assert limiter is not None
-    sleep = sleep if sleep is not None else time.sleep
-    done_parts = []
-    pending = ds
-    rounds = 0
-    while rounds < max_rounds:
-        rounds += 1
-        out = pending.map_batches(
-            ThrottledFetcher,
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            concurrency=concurrency,
-            fn_constructor_kwargs=dict(
-                inner_cls=fetcher_cls, limiter=limiter, defer=True,
-                **fetcher_kwargs,
-            ),
-        ).materialize()
-        rnd = rounds
-
-        def keep_fetched(t: pa.Table, _r=rnd) -> pa.Table:
-            sel = t.filter(pc.not_equal(t["status"], "deferred"))
-            return sel.append_column(
-                "fetch_round", pa.array([_r] * sel.num_rows, pa.int64())
-            )
-
-        fetched = out.map_batches(
-            keep_fetched, batch_format="pyarrow"
-        ).materialize()
-        if fetched.count():
-            done_parts.append(fetched)
-        deferred = out.map_batches(
-            lambda t: t.filter(pc.equal(t["status"], "deferred")),
-            batch_format="pyarrow",
-        ).materialize()
-        if deferred.count() == 0:
-            break
-        # wait only for the earliest token accrual anywhere, then
-        # re-admit — other hosts' rows were already fetched this round
-        wait = float(deferred.min("retry_after") or 0.0)
-        sleep(max(wait, 1e-6))
-        pending = deferred.select_columns(["url"])
-    else:
-        raise RuntimeError(
-            f"fetch_with_requeue did not drain in {max_rounds} rounds "
-            "(token accrual stalled?)"
-        )
-    if not done_parts:
-        empty = (
-            pa.Table.from_pylist([], schema=FETCH_SCHEMA)
-            .append_column("retry_after", pa.array([], pa.float64()))
-            .append_column("fetch_round", pa.array([], pa.int64()))
-        )
-        return ray.data.from_arrow(empty), rounds
-    result = done_parts[0]
-    for part in done_parts[1:]:
-        result = result.union(part)
-    return result, rounds
-
-
 def corpus_scan_fetch(urls: list[str], pages_path: str) -> "ray.data.Dataset":
     """Offline fetch of an explicit (small) URL list as ONE streaming
     corpus scan. The URL set is small by contract, so it broadcasts via
@@ -409,26 +214,12 @@ def corpus_scan_fetch(urls: list[str], pages_path: str) -> "ray.data.Dataset":
 
 
 def fetch_stage(ds, fetcher_cls=CorpusFetcher, concurrency: int = 4,
-                batch_size: int = 64, limiter=None, sleep=None,
-                stamp_grants: bool = False, **fetcher_kwargs):
+                batch_size: int = 64, **fetcher_kwargs):
     """Attach a fetch actor pool to a Dataset of url rows. Mirrors the
     mode-dispatch strategy surface (``scraper.py:73-84``) with the
     advanced→basic fallback expressed as per-row error statuses rather
-    than exception control flow. With ``limiter`` (a
-    ``crawl.ratelimit.RateLimiter``) every fetcher is wrapped in
-    :class:`ThrottledFetcher` so live fetches honor per-host politeness
-    across the whole pool."""
-    if limiter is not None:
-        return ds.map_batches(
-            ThrottledFetcher,
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            concurrency=concurrency,
-            fn_constructor_kwargs=dict(
-                inner_cls=fetcher_cls, limiter=limiter, sleep=sleep,
-                stamp_grants=stamp_grants, **fetcher_kwargs,
-            ),
-        )
+    than exception control flow. Hosts are not paced here (see the
+    module doc)."""
     return ds.map_batches(
         fetcher_cls,
         batch_format="pyarrow",
