@@ -207,7 +207,7 @@ def budget_model(small_corpus):
 
 @pytest.fixture(scope="module")
 def budget_result(ray_session, small_corpus, tmp_path_factory):
-    """The range-join crawl under ``BUDGET_CFG``: round 1 is cut."""
+    """The corpus-join crawl under ``BUDGET_CFG``: round 1 is cut."""
     from web_scraper_ray.crawl.frontier import load_crawl_order, run_crawl
 
     ckpt = str(tmp_path_factory.mktemp("ckpt_budget12"))
@@ -392,6 +392,171 @@ def test_giant_host_spanning_blocks(ray_session, small_corpus, tmp_path):
     assert len(m_order) == len(urls)
 
 
+def test_giant_host_fetch(ray_session, tmp_path, monkeypatch):
+    """Fetch-side twin of test_giant_host_spanning_blocks: one host with
+    3,000 pages in the corpus (plus 300 on five small hosts) is one
+    bucket's run, joined with a layout of 16-row groups (about 190 of
+    them hold the host). The join still splits by admitted rows: no
+    join task takes more than a few JOIN_ROWS rows, so the host's pages
+    spread over many tasks. The crawl equals the sequential model in
+    order, vt and seen set, and fetches every page."""
+    import collections
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray
+
+    from web_scraper_ray.crawl import frontier
+    from web_scraper_ray.crawl.frontier import load_crawl_order, run_crawl
+
+    urls = [f"https://giant.example/p/{i}" for i in range(3000)]
+    urls += [f"https://small{h}.example/q/{i}" for h in range(5) for i in range(60)]
+    # each page links to another corpus page, so round 1 finds only seen urls
+    html = [f"<html><head><title>t{i}</title></head><body><p>page {i}</p>"
+            f"<a href=\"{urls[(7 * i + 1) % len(urls)]}\">next</a></body></html>".encode()
+            for i in range(len(urls))]
+    os.makedirs(tmp_path / "pages")
+    pq.write_table(pa.table({"url": urls, "html": pa.array(html, pa.binary())}),
+                   tmp_path / "pages" / "part-0.parquet", row_group_size=1000)
+    sp = str(tmp_path / "seeds.parquet")
+    pq.write_table(pa.table({
+        "seed_index": pa.array(range(len(urls)), pa.int64()),
+        "url": pa.array(urls, pa.string()),
+        "priority": pa.array([(i * 7) % 3 for i in range(len(urls))], pa.int64()),
+    }), sp)
+    monkeypatch.setattr(frontier, "LAYOUT_GROUP_ROWS", 16)
+    log = str(tmp_path / "joins.txt")
+    real = frontier._join_run
+
+    def logged(layout, adm):  # one line per join call: its task and rows
+        with open(log, "a") as f:
+            f.write(f"{ray.get_runtime_context().get_task_id()} {adm.num_rows}\n")
+        yield from real(layout, adm)
+
+    monkeypatch.setattr(frontier, "_join_run", logged)
+    cfg = CrawlConfig(max_depth=1, index_dir=str(tmp_path / "hidx"))
+    robots = RobotsRules.empty(cfg.default_crawl_delay_ms)
+    m_order, m_seen = sequential_crawl(str(tmp_path / "pages"), sp, robots, cfg)
+    ckpt = str(tmp_path / "ckpt")
+    res = run_crawl(str(tmp_path / "pages"), sp, ckpt, config=cfg)
+    runs = frontier._parquet_files(frontier._frontier_dir(ckpt, 0))
+    giant = [f for f in runs if "giant.example" in pq.read_table(f, columns=["host"])[
+        "host"].to_pylist()]
+    assert len(giant) == 1 and pq.read_metadata(giant[0]).num_rows >= 3000
+    per_task = collections.Counter()
+    with open(log) as f:
+        for line in f:
+            task, n = line.split()
+            per_task[task] += int(n)
+    assert sum(per_task.values()) == len(urls)
+    assert max(per_task.values()) <= 3 * frontier.JOIN_ROWS
+    order = load_crawl_order(ckpt)
+    assert list(zip(order["round"], order["url"], order["vt"])) == [
+        (r["round"], r["url"], r["vt"]) for r in m_order
+    ]
+    assert res.seen.snapshot() == m_seen
+    assert res.n_fetched == res.n_admitted == len(urls)
+
+
+def test_unbudgeted_crawl_is_one_execution(ray_session, small_corpus, tmp_path,
+                                          monkeypatch, engine_result):
+    """Over an already-built layout, an unbudgeted depth-2 crawl runs
+    exactly ONE Ray Data execution (counted at
+    ``StreamingExecutor.execute``), seeds to last round, and writes the
+    uninterrupted crawl's three manifests and runs. A live crawl plans
+    one round per execution, after the seed admission's, so a round's
+    fetch actors start with its round."""
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    from web_scraper_ray.crawl.frontier import load_crawl_order, run_crawl
+    from web_scraper_ray.stages.fetch import CorpusFetcher
+
+    res_full, order_full = engine_result
+    calls = []
+    real = StreamingExecutor.execute
+    monkeypatch.setattr(StreamingExecutor, "execute",
+                        lambda self, *a, **kw: calls.append(1) or real(self, *a, **kw))
+    res = run_crawl(f"{small_corpus}/pages", f"{small_corpus}/seeds.parquet",
+                    str(tmp_path), robots_path=f"{small_corpus}/robots.parquet",
+                    config=CFG)
+    assert len(calls) == 1
+    assert res.rounds == 3
+    assert load_crawl_order(str(tmp_path)).equals(order_full)
+    assert _runs(str(tmp_path)) == _runs(res_full.checkpoint_dir)
+    calls.clear()
+    live = run_crawl(f"{small_corpus}/pages", f"{small_corpus}/seeds.parquet",
+                     str(tmp_path / "live"),
+                     config=CrawlConfig(max_depth=1, default_crawl_delay_ms=1),
+                     fetcher_cls=CorpusFetcher,
+                     fetcher_kwargs={"pages_path": f"{small_corpus}/pages"})
+    assert live.rounds == 2 and len(calls) == 3
+
+
+@pytest.mark.parametrize("where", ["round1_extract", "frontier2_admission"])
+def test_crash_inside_the_execution_then_resume(ray_session, small_corpus, tmp_path,
+                                                monkeypatch, where, engine_result,
+                                                model_result):
+    """A UDF raises once inside the crawl's single execution: in round
+    1's extraction (frontier 1 may be partial: resume restarts from
+    frontier 0's runs), or in the admission of frontier 2 right after a
+    bucket wrote its run (that run proves round 0 complete: resume
+    folds its manifest and restarts from frontier 1's runs). The
+    resumed crawl equals the uninterrupted one in order, vt, runs and
+    seen set."""
+    from web_scraper_ray.crawl import frontier
+    from web_scraper_ray.crawl.frontier import load_crawl_order, run_crawl
+
+    ckpt = str(tmp_path / "ckpt")
+    flag = str(tmp_path / "raised")
+    if where == "round1_extract":
+        real = frontier._extract_with_meta
+
+        def crash_once(batch):
+            # round 0's rows are seeds (pvt = -1.0); round 1's come first after
+            if min(batch["pvt"].to_pylist()) >= 0 and not os.path.exists(flag):
+                open(flag, "w").close()
+                raise RuntimeError("injected failure")
+            return real(batch)
+
+        monkeypatch.setattr(frontier, "_extract_with_meta", crash_once)
+    else:
+        real = frontier._admit_bucket
+
+        def crash_once(g, ckpt_dir, k, cutoffs, robots):
+            out = real(g, ckpt_dir, k, cutoffs, robots)
+            # the first frontier-2 task that writes a run fails after it
+            if k == 2 and out.num_rows and not os.path.exists(flag):
+                open(flag, "w").close()
+                raise RuntimeError("injected failure")
+            return out
+
+        monkeypatch.setattr(frontier, "_admit_bucket", crash_once)
+
+    def crawl(resume):
+        return run_crawl(f"{small_corpus}/pages", f"{small_corpus}/seeds.parquet", ckpt,
+                         robots_path=f"{small_corpus}/robots.parquet", config=CFG,
+                         resume=resume)
+
+    def stamps(d):
+        return {f: os.stat(f).st_mtime_ns for f in frontier._parquet_files(d)}
+
+    with pytest.raises(Exception, match="injected failure"):
+        crawl(False)
+    assert os.path.exists(flag)
+    assert not os.path.exists(os.path.join(ckpt, "manifest_0000.json"))
+    out0 = stamps(os.path.join(ckpt, "output_0000"))
+    res = crawl(True)
+    # round 0 is redone only when no frontier-2 run proves it complete
+    assert (stamps(os.path.join(ckpt, "output_0000")) == out0) == (
+        where == "frontier2_admission")
+    res_full, order_full = engine_result
+    assert load_crawl_order(ckpt).equals(order_full)
+    assert _runs(ckpt) == _runs(res_full.checkpoint_dir)
+    assert res.seen.snapshot() == model_result[1]
+    assert (res.rounds, res.n_admitted, res.n_fetched) == (
+        res_full.rounds, res_full.n_admitted, res_full.n_fetched)
+
+
 def test_seed_read_plans_row_slices(ray_session, tmp_path):
     """The seed read is planned from the footer: a single-row-group
     file of 20,000 seeds is cut into row slices, so at 4 CPUs it yields
@@ -421,8 +586,8 @@ def test_seed_read_plans_row_slices(ray_session, tmp_path):
     for r in ray.data.read_parquet(sp).take_all():
         if is_valid_url(r["url"]):
             frontier._push_candidate(rows, canonicalize_url(r["url"]), r["priority"],
-                                     -1.0, r["seed_index"], 0, -1.0, 0, "", 64)
-    want = frontier._candidate_table(rows)
+                                     -1.0, r["seed_index"], 0, -1.0, 0, "")
+    want = frontier._candidate_table(rows, 64)
     assert want.num_rows == len(urls) - 2
 
     def key(r):
@@ -446,7 +611,7 @@ def test_crawl_order_ds_matches_dataframe(engine_result, budget_result):
     assert len(budget_result[1]) == BUDGET_CFG.max_pages
 
 
-def _range_join_crawl(small_corpus, ckpt, idx_dir):
+def _run_join_crawl(small_corpus, ckpt, idx_dir):
     from web_scraper_ray.crawl.frontier import load_crawl_order, run_crawl
 
     cfg = CrawlConfig(max_depth=2, seen_shards=4, index_dir=idx_dir)
@@ -458,24 +623,41 @@ def _range_join_crawl(small_corpus, ckpt, idx_dir):
     return res, load_crawl_order(ckpt), os.path.join(idx_dir, layout)
 
 
-def test_range_fetch_join_one_group_per_file(ray_session, small_corpus,
-                                             tmp_path_factory, engine_result,
-                                             model_result):
-    """The range fetch-join over a layout whose files each hold one row
-    group (the benchmark corpus shape) produces the model's crawl."""
+def _join_reads(monkeypatch):
+    """Record the row-group lists ``_join_run`` reads, one per file read."""
+    import pyarrow.parquet as pq
+
+    reads = []
+    real = pq.ParquetFile.read_row_groups
+    monkeypatch.setattr(pq.ParquetFile, "read_row_groups",
+                        lambda self, rgs, **kw: reads.append(list(rgs)) or real(self, rgs, **kw))
+    return reads
+
+
+def test_run_join_one_group_per_file(ray_session, small_corpus,
+                                     tmp_path_factory, engine_result,
+                                     model_result):
+    """The corpus join over a layout whose files each hold one
+    row group (the benchmark corpus shape) produces the model's crawl.
+    The crawl's layout is ordered by the crawl key: its key column is
+    ``crawl_key(url)`` and its lineage names that hash."""
     import glob
+    import json
 
     import pyarrow.parquet as pq
 
-    from web_scraper_ray.crawl.frontier import _hash_ranges
+    from web_scraper_ray.crawl.frontier import crawl_key
 
-    res, order, layout = _range_join_crawl(
+    res, order, layout = _run_join_crawl(
         small_corpus, str(tmp_path_factory.mktemp("ckpt_one_group")),
         str(tmp_path_factory.mktemp("hidx_one_group")))
     files = glob.glob(f"{layout}/data/*.parquet")
     assert len(files) > 1
     assert all(pq.ParquetFile(f).metadata.num_row_groups == 1 for f in files)
-    assert len(_hash_ranges(layout)) > 1
+    with open(f"{layout}/lineage.json") as f:
+        assert json.load(f)["hash"] == "web_scraper_ray.crawl.frontier.crawl_key"
+    data = pq.read_table(files)
+    assert data["__key_h"].to_pylist() == crawl_key(data["url"]).tolist()
     _, order_bc = engine_result
     assert list(zip(order["round"], order["url"], order["vt"])) == list(
         zip(order_bc["round"], order_bc["url"], order_bc["vt"])
@@ -483,23 +665,38 @@ def test_range_fetch_join_one_group_per_file(ray_session, small_corpus,
     assert res.seen.snapshot() == model_result[1]
 
 
-def test_range_fetch_join_many_ranges(ray_session, small_corpus,
-                                      tmp_path_factory, monkeypatch,
-                                      engine_result, model_result):
-    """With 16-row layout row groups some files hold several groups and
-    the join runs as 2×CPU ranges: still the model's crawl."""
+def test_run_join_many_groups_per_file(ray_session, small_corpus,
+                                       tmp_path_factory, monkeypatch,
+                                       engine_result, model_result):
+    """With 16-row layout row groups some files hold several groups, and
+    one join of a run's rows reads several groups of one file: still
+    the model's crawl."""
+    import collections
+
     import pyarrow.parquet as pq
 
     from web_scraper_ray.crawl import frontier
 
     monkeypatch.setattr(frontier, "LAYOUT_GROUP_ROWS", 16)
-    res, order, layout = _range_join_crawl(
-        small_corpus, str(tmp_path_factory.mktemp("ckpt_many_ranges")),
-        str(tmp_path_factory.mktemp("hidx_many_ranges")))
+    res, order, layout = _run_join_crawl(
+        small_corpus, str(tmp_path_factory.mktemp("ckpt_many_groups")),
+        str(tmp_path_factory.mktemp("hidx_many_groups")))
     idx = pq.read_table(f"{layout}/index.parquet")
     assert max(idx["n"].to_pylist()) <= 16
     assert len(set(idx["file"].to_pylist())) < idx.num_rows
-    assert len(frontier._hash_ranges(layout)) == 2 * 4  # the session's 4 CPUs
+    # a run holding every url of the layout file with the most groups
+    # reads all of that file's groups in one read, and gets every row
+    n_groups = collections.Counter(idx["file"].to_pylist())
+    name, n = n_groups.most_common(1)[0]
+    assert n > 1
+    urls = pq.read_table(f"{layout}/data/{name}", columns=["url"])["url"].to_pylist()
+    ckpt = str(tmp_path_factory.mktemp("ckpt_one_file"))
+    os.makedirs(frontier._frontier_dir(ckpt, 0))
+    adm = frontier._write_run(_run_table(urls), ckpt, 0, 0)
+    reads = _join_reads(monkeypatch)
+    got = [u for t in frontier._join_run(layout, adm) for u in t["url"].to_pylist()]
+    assert reads == [list(range(n))]
+    assert sorted(got) == sorted(urls)
     _, order_bc = engine_result
     assert list(zip(order["round"], order["url"], order["vt"])) == list(
         zip(order_bc["round"], order_bc["url"], order_bc["vt"])
@@ -509,18 +706,20 @@ def test_range_fetch_join_many_ranges(ray_session, small_corpus,
 
 def test_sparse_round_reads_few_layout_groups(ray_session, small_corpus,
                                               tmp_path, monkeypatch):
-    """A round that admits 3 urls reads strictly fewer layout row groups
-    than exist, and returns exactly the rows an exact-url filter of the
-    corpus returns, with the frontier's META_COLUMNS attached."""
+    """Runs that admit 3 urls read strictly fewer layout row groups than
+    exist, and return exactly the rows an exact-url filter of the corpus
+    returns, with the frontier's META_COLUMNS attached."""
     import pandas as pd
     import pyarrow as pa
     import pyarrow.parquet as pq
+    import ray
 
     from web_scraper_ray.crawl import frontier
     from web_scraper_ray.sources.hashindex import build_hash_index
 
     layout = build_hash_index(f"{small_corpus}/pages", "url", str(tmp_path / "hidx"),
-                              columns=["url", "html"], rows_per_group=16)
+                              columns=["url", "html"], rows_per_group=16,
+                              key_hash=frontier.crawl_key)
     pages = pq.read_table(f"{small_corpus}/pages", columns=["url", "html"]).to_pandas()
     want = sorted(pages["url"])[5:50:20]
     ckpt = str(tmp_path / "ckpt")
@@ -529,60 +728,66 @@ def test_sparse_round_reads_few_layout_groups(ray_session, small_corpus,
                         "priority": [0, 1, 2], "pvt": [-1.0] * 3, "pli": [7, 8, 9],
                         "vt": [0.0, 100.0, 200.0]})
     adm = pa.Table.from_pandas(adm, preserve_index=False)
-    frontier._write_run(adm.slice(0, 2), ckpt, 0, 0)  # two bucket runs
-    frontier._write_run(adm.slice(2), ckpt, 0, 1)
+    parts = [frontier._write_run(adm.slice(0, 2), ckpt, 0, 0),  # two bucket runs
+             frontier._write_run(adm.slice(2), ckpt, 0, 1)]
     runs = frontier._parquet_files(frontier._frontier_dir(ckpt, 0))
 
-    read = []
-    real = pq.ParquetFile.read_row_groups
-    monkeypatch.setattr(pq.ParquetFile, "read_row_groups",
-                        lambda self, rgs, **kw: read.extend(rgs) or real(self, rgs, **kw))
-    got = pd.concat([t.to_pandas() for r in frontier._hash_ranges(layout)
-                     for t in frontier._join_range(layout, runs, None, r["lo"], r["hi"])])
+    reads = _join_reads(monkeypatch)
+    got = pd.concat([t.to_pandas() for part in parts
+                     for t in frontier._join_run(layout, part)])
     total = pq.read_table(f"{layout}/index.parquet").num_rows
-    assert 0 < len(read) < total
+    assert 0 < sum(map(len, reads)) < total
     exact = pages[pages["url"].isin(want)]
     got = got.sort_values("url").reset_index(drop=True)
     assert list(got["url"]) == list(exact.sort_values("url")["url"])
     assert list(got["html"]) == list(exact.sort_values("url")["html"])
     assert list(got["pli"]) == [7, 8, 9] and list(got["vt"]) == [0.0, 100.0, 200.0]
-    # the Ray Data path returns the same rows
-    ds = frontier._range_fetch_join(layout, runs, None).to_pandas()
-    assert sorted(ds["url"]) == sorted(want)
+    # the Ray Data path (the runs' read, the join, then extraction and
+    # the output write) returns the same rows
+    out = frontier._fetch_and_extract(
+        frontier._read_runs(runs, frontier.JOIN_COLUMNS, None), ckpt, 0, layout,
+        None, None, CrawlConfig()).to_pandas()
+    assert sorted(out["url"]) == want
 
 
-def test_range_join_confirms_urls_on_hash_collisions(ray_session, small_corpus,
-                                                     tmp_path, monkeypatch):
-    """With the url hash cut to 3 bits in both the layout and the runs,
-    every admitted hash collides with many corpus rows; the url string
-    confirm still returns exactly the admitted urls' rows."""
+def test_run_join_confirms_urls_on_key_collisions(ray_session, small_corpus,
+                                                  tmp_path, monkeypatch):
+    """With the url part of the crawl key cut to 3 bits in both the
+    layout and the run, every admitted key collides with other corpus
+    rows; the url string confirm still returns exactly the admitted
+    urls' rows."""
+    import numpy as np
     import pandas as pd
     import pyarrow as pa
     import pyarrow.parquet as pq
 
     from web_scraper_ray.crawl import frontier
     from web_scraper_ray.sources import hashindex
-    from web_scraper_ray.vhash import hash64_str
 
-    def cut(v):
-        return hash64_str(v) & 7
+    real = frontier.crawl_key
 
-    monkeypatch.setattr(hashindex, "hash64_str", cut)
-    monkeypatch.setattr(frontier, "hash64_str", cut)
+    def cut(urls, hosts=None):
+        ck = real(urls, hosts)
+        return (ck >> frontier.CK_URL_BITS << frontier.CK_URL_BITS) | (ck & 7)
+
+    monkeypatch.setattr(frontier, "crawl_key", cut)
     layout = hashindex.build_hash_index(f"{small_corpus}/pages", "url",
                                         str(tmp_path / "hidx"),
-                                        columns=["url", "html"], rows_per_group=16)
-    assert max(pq.read_table(f"{layout}/index.parquet")["max_h"].to_pylist()) <= 7
+                                        columns=["url", "html"], rows_per_group=16,
+                                        key_hash=cut)
+    keys = pq.read_table(f"{layout}/data", columns=["__key_h"])["__key_h"].to_numpy()
+    assert (keys & ((1 << frontier.CK_URL_BITS) - 1)).max() <= 7
     pages = pq.read_table(f"{small_corpus}/pages", columns=["url"]).to_pandas()
     want = sorted(pages["url"])[3:60:19]
     ckpt = str(tmp_path / "ckpt")
     os.makedirs(frontier._frontier_dir(ckpt, 0))
-    frontier._write_run(pa.Table.from_pandas(pd.DataFrame({
+    adm = frontier._write_run(pa.Table.from_pandas(pd.DataFrame({
         "url": want, "host": [u.split("/")[2] for u in want], "priority": 0,
         "pvt": -1.0, "pli": range(len(want)), "vt": 0.0}), preserve_index=False),
         ckpt, 0, 0)
-    got = frontier._range_fetch_join(
-        layout, frontier._parquet_files(frontier._frontier_dir(ckpt, 0)), None).to_pandas()
+    (run,) = frontier._parquet_files(frontier._frontier_dir(ckpt, 0))
+    assert np.isin(keys, pq.read_table(run)["ck"].to_numpy()).sum() > 2 * len(want)
+    got = pd.concat([t.to_pandas() for t in frontier._join_run(layout, adm)])
     assert sorted(got["url"]) == want
     assert list(got.sort_values("url")["pli"]) == list(range(len(want)))
 
@@ -681,7 +886,7 @@ def test_live_fetch_mode_parity(ray_session, small_corpus, tmp_path_factory,
                                 budget_model):
     """A ``fetcher_cls`` (actor-pool fetcher, NO corpus join — the real
     deployment shape) with the deterministic corpus-backed fetcher
-    produces the identical crawl to the corpus range join, unbounded and
+    produces the identical crawl to the corpus join, unbounded and
     under ``max_pages=12`` (it fetches only the cut round's rows up to
     the cutoff). No checkpoint holds an ``admitted_*`` copy."""
     for cfg, (res_rj, order_rj), (_, m_seen) in (
@@ -702,7 +907,7 @@ def test_live_requeue_mode_parity(ray_session, small_corpus, tmp_path_factory,
     """A live crawl is paced by the robots crawl delays on the real
     clock: a recording ``CorpusFetcher`` sees each host's fetches start
     at least ``delay_h`` apart, within a round and across rounds. And
-    the crawl is still the range-join crawl, unbounded and under
+    the crawl is still the corpus-join crawl, unbounded and under
     ``max_pages=12``: pacing binds at fetch time, vt ordering is
     admission-side."""
     import time
@@ -937,13 +1142,13 @@ def test_seen_probe_confirms_hash_hits(tmp_path, monkeypatch):
             os.makedirs(frontier._frontier_dir(ckpt, k))
             frontier._write_run(_run_table(run), ckpt, k, 3)
         os.makedirs(frontier._frontier_dir(ckpt, 2))
-        n = frontier._admit_bucket(cands, ckpt, 2, {}, robots)["n"][0].as_py()
-        return n, pq.read_table(frontier._run_path(ckpt, 2, 3)) if n else None
+        frontier._admit_bucket(cands, ckpt, 2, {}, robots)
+        return pq.read_table(frontier._run_path(ckpt, 2, 3))
 
-    n_full, full = admit(hash64_str)
-    n_cut, collided = admit(cut)
-    assert n_cut == n_full == 4
-    assert max(collided["uh"].to_pylist()) <= 7  # the writer saw the cut hash
+    full = admit(hash64_str)
+    collided = admit(cut)
+    assert collided.num_rows == full.num_rows == 4
+    assert max(collided["ck"].to_pylist()) <= 7  # the writer saw the cut hash
     cols = ["url", "host", "priority", "pvt", "pli", "vt"]
     assert (collided.select(cols).sort_by("url").to_pylist()
             == full.select(cols).sort_by("url").to_pylist())
@@ -978,7 +1183,7 @@ def test_admit_bucket_matches_spec(rows, split, hist, cut_at):
     must hold the min ``_DEDUP_SORT`` row per url minus the history
     urls, ranked per host by ``(priority, pvt, pli, url)`` with
     ``vt = (base + rank) * delay``, bases counting history rows only up
-    to the cutoff; and it must be sorted by ``(uh, url)``."""
+    to the cutoff; and it must be sorted by ``(ck, url)``."""
     import collections
     import tempfile
 
@@ -986,7 +1191,6 @@ def test_admit_bucket_matches_spec(rows, split, hist, cut_at):
     import pyarrow.parquet as pq
 
     from web_scraper_ray.crawl import frontier
-    from web_scraper_ray.vhash import hash64_str
 
     # priority == w_pri, as for every discovered link: rows that tie on
     # the whole _DEDUP_SORT key are then identical
@@ -1021,18 +1225,19 @@ def test_admit_bucket_matches_spec(rows, split, hist, cut_at):
             os.makedirs(frontier._frontier_dir(ckpt, k))
             frontier._write_run(run, ckpt, k, 3)
         os.makedirs(frontier._frontier_dir(ckpt, 2))
-        n = frontier._admit_bucket(g, ckpt, 2, cutoffs, robots)["n"][0].as_py()
+        adm = frontier._admit_bucket(g, ckpt, 2, cutoffs, robots)
         path = frontier._run_path(ckpt, 2, 3)
         got = pq.read_table(path) if os.path.exists(path) else None
-    assert n == len(want)
     if not want:
-        assert got is None
+        assert got is None and adm.num_rows == 0
         return
+    # it returns the run's JOIN_COLUMNS, in the run's order
+    assert adm.to_pylist() == got.select(frontier.JOIN_COLUMNS).to_pylist()
     assert got.schema.remove_metadata() == frontier.RUN_SCHEMA
     assert sorted(zip(*(got[c].to_pylist() for c in frontier.FRONTIER_COLUMNS))) == want
-    uh, urls = got["uh"].to_pylist(), got["url"].to_pylist()
-    assert uh == hash64_str(urls).tolist()
-    assert list(zip(uh, urls)) == sorted(zip(uh, urls))
+    ck, urls = got["ck"].to_pylist(), got["url"].to_pylist()
+    assert ck == frontier.crawl_key(urls).tolist()
+    assert list(zip(ck, urls)) == sorted(zip(ck, urls))
 
 
 def test_manifests_hold_scalars_only(engine_result):
@@ -1054,8 +1259,8 @@ def test_manifests_hold_scalars_only(engine_result):
 
 
 def test_seen_probe_hashes_only_candidates(tmp_path, monkeypatch):
-    """The admission probe binary-searches the candidates' hashes in the
-    runs' stored ``uh``: ``hash64_str`` sees the candidate urls and never
+    """The admission probe binary-searches the candidates' keys in the
+    runs' stored ``ck``: ``crawl_key`` sees the candidate urls and never
     a history url. With the hash cut to 3 bits every run row collides,
     and the string confirm still returns the exact seen mask."""
     import numpy as np
@@ -1077,12 +1282,12 @@ def test_seen_probe_hashes_only_candidates(tmp_path, monkeypatch):
             os.makedirs(frontier._frontier_dir(ckpt, k))
             frontier._write_run(_run_table(urls), ckpt, k, 3)
         seen_calls = []
-        hashed = frontier.hash64_str
-        monkeypatch.setattr(frontier, "hash64_str",
-                            lambda v: seen_calls.append(v.to_pylist()) or hashed(v))
+        keyed = frontier.crawl_key
+        monkeypatch.setattr(frontier, "crawl_key",
+                            lambda v, h=None: seen_calls.append(v.to_pylist()) or keyed(v, h))
         dup, bases = frontier._probe_runs(
             pa.array(cands), [(k, frontier._run_path(ckpt, k, 3)) for k in range(3)], {})
-        monkeypatch.setattr(frontier, "hash64_str", hashed)
+        monkeypatch.setattr(frontier, "crawl_key", keyed)
         assert seen_calls == [list(cands)]
         assert list(dup) == [True, False, True, False, False]
         assert bases == {"a.example": 20, "b.example": 30}
@@ -1120,8 +1325,8 @@ def test_probe_host_counts_over_cut_runs(tmp_path):
 
 def test_resume_from_old_run_format_fails_loudly(ray_session, small_corpus,
                                                  tmp_path, engine_result):
-    """A checkpoint whose frontier runs have no ``uh`` column (written
-    before the hash-sorted run format) cannot resume: run_crawl raises
+    """A checkpoint whose frontier runs have no ``ck`` column (written
+    before the crawl-key run format) cannot resume: run_crawl raises
     StaleCheckpointError naming the run file instead of failing inside
     a worker."""
     import pyarrow.parquet as pq

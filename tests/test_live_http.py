@@ -1,5 +1,5 @@
 """A live crawl over real HTTP: ``HttpFetcher`` against a loopback
-server on 127.0.0.1 equals the corpus range-join crawl of the same
+server on 127.0.0.1 equals the corpus-join crawl of the same
 pages, and the paced fetch asks for each url exactly once, spaced by
 the host's crawl delay."""
 

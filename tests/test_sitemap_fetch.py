@@ -73,6 +73,19 @@ def test_corpus_fetcher(ray_session, small_corpus):
     assert out[out["status"] == "fetched"]["html"].map(len).gt(100).all()
 
 
+def test_fetch_pool_reserves_no_cpu(ray_session):
+    """``fetch_stage``'s actor pool asks for 0 CPUs: its actors wait on
+    the network, so a CPU held by one would only keep other operators
+    (and, after the pool finishes, its last actor) from running."""
+    import ray.data
+    from web_scraper_ray.stages.fetch import CorpusFetcher, fetch_stage
+
+    ds = fetch_stage(ray.data.from_items([{"url": "https://a.example/"}]),
+                     CorpusFetcher, concurrency=2, pages_path="unused")
+    op = ds._logical_plan.dag
+    assert op._ray_remote_args["num_cpus"] == 0
+
+
 def test_http_fetcher_offline_fallback(small_corpus):
     from web_scraper_ray.stages.fetch import BrowserFetcher, HttpFetcher
 

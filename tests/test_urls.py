@@ -10,6 +10,7 @@ from web_scraper_ray.functions.urls import (
     is_valid_url,
     matches_ignore_patterns,
     path_prefix,
+    resolve_link,
     url_hash64,
 )
 
@@ -74,3 +75,54 @@ def test_path_prefix_grouping():
 def test_url_hash64_stable():
     assert url_hash64("https://a.b/") == url_hash64("https://a.b/")
     assert url_hash64("https://a.b/") != url_hash64("https://a.b/x")
+
+
+_LINK_HEADS = ["http://", "https://", "HTTP://", "Https://", " http://",
+               "https:///", "http:", "//", "/", "", "ftp://", "http://[",
+               "https://a]", "\thttps://", "javascript:"]
+_LINK_CHARS = ("abcXYZ019-._~%/:@!$&'()*+,=" + "?#;[]" + " \t\n\r\x00\x01\x1f\x7f"
+               + "\\\"<>^`{|}" + "é①ｄ＃／\u2100\uff1f")
+
+
+def _join_outcome(fn, base, href):
+    try:
+        return "ok", fn(base, href)
+    except Exception as e:  # which inputs raise must agree too
+        return "raises", type(e)
+
+
+def _draw_link(rng, heads):
+    tail = "".join(rng.choice(_LINK_CHARS) for _ in range(rng.randrange(12)))
+    return rng.choice(heads) + tail
+
+
+def test_resolve_link_equals_urljoin_on_random_draws(monkeypatch):
+    """The absolute-href fast path of ``resolve_link`` returns exactly
+    what ``urljoin`` returns, and raises where it raises: 30,000 seeded
+    draws of hrefs and bases mixing upper/lowercase schemes, whitespace,
+    ``https:///x``, brackets, ``?#;``, non-ASCII (NFKC-folding too) and
+    C0 characters, over 500 of them on the fast path (no ``urljoin``
+    call)."""
+    import random
+    from urllib.parse import urljoin
+
+    from web_scraper_ray.functions import urls
+
+    joined = []
+    monkeypatch.setattr(urls, "urljoin", lambda b, h: joined.append(1) or urljoin(b, h))
+    rng = random.Random(1405)
+    n = 30_000
+    for _ in range(n):
+        base = _draw_link(rng, _LINK_HEADS + ["https://h.example/a/b"])
+        href = _draw_link(rng, _LINK_HEADS + ["https://b.example/", "http://c.example"] * 3)
+        assert (_join_outcome(resolve_link, base, href)
+                == _join_outcome(urljoin, base, href)), (base, href)
+    assert n - len(joined) > 500
+
+
+def test_resolve_link_cases():
+    assert resolve_link("https://a.example/x/y", "https://b.example/p") == "https://b.example/p"
+    assert resolve_link("https://a.example/x/y", "z") == "https://a.example/x/z"
+    assert resolve_link("https://a.example/x/y", "HTTPS://B.example/p") == "https://B.example/p"
+    assert resolve_link("https://a.example/", "https:///x") == "https://a.example/x"
+    assert resolve_link("", "https://b.example/p") == "https://b.example/p"

@@ -2,30 +2,41 @@
 
 Implements EXACTLY the crawl semantics of the sequential spec in
 ``model.py`` (see its docstring for the contract), re-expressed as
-streaming Dataset rounds (SURVEY.md §3.4, §7.6). Each round is ONE
-Dataset execution with ONE all-to-all shuffle:
+streaming Dataset rounds (SURVEY.md §3.4, §7.6). An unbudgeted crawl is
+ONE Dataset execution, seeds to last round, with ONE all-to-all shuffle
+per round:
 
-    range fetch-join: frontier runs ⋈ hash-sorted corpus layout
-      → map_batches(extract_batch)  [frontier meta riding as columns]
-      → in-pipeline output_r parquet write (idempotent per-batch files)
-      → flat_map link candidates (validity / ignore / robots filters)
+    seed candidates → host-bucket groupby [admission → run frontier_0/part-{b}]
+      → the admitted rows, cut into blocks of about JOIN_ROWS rows
+      → map_batches[corpus join of a block → extract_batch (frontier
+        meta riding as columns) → in-pipeline output_r parquet write
+        (idempotent per-batch files) → link candidates (validity /
+        ignore / robots filters)]
       → host-bucket groupby fusing [in-round dedup → seen anti-join
         against the bucket's runs → virtual-time assignment → write of
         the bucket's run frontier_{r+1}/part-{b}]
+      → … unrolled up to ``max_depth``
 
-so the fetch, extraction, the output write, discovery and the
-admission shuffle all overlap under the streaming executor, and a round
-reads each touched corpus row group once.
+so admission, the fetch, extraction, the output write and discovery of
+every round overlap under the streaming executor, and the only barrier
+left in a round is its admission shuffle. A round's fetch and extraction
+split by admitted rows, never by host or bucket. On a one-CPU cluster
+the cut is left out and the join fuses into the admission task, since
+no two tasks could run at once. A ``max_pages`` budget can cut a round
+only once its size is known, and a live fetch task paces a whole run,
+so a budgeted or live crawl's plan ends after each admission: one
+execution per round, built by the same builder (:func:`_round_plan`)
+with another cut point.
 
 The fusion is legal because every candidate URL of one host lands in
-that host's hash bucket (bucket = f(host), url → host is a function),
-so url-dedup, the seen anti-join, and the per-host politeness scan all
-see complete groups in a single shuffle. Virtual times for round r+1
-are a pure function of state known at the end of round r (per-host
-admitted counts × crawl delay), so they are precomputed into the
-frontier file — this is what makes the crawl order independent of
-physical parallelism AND keeps the per-round shuffle count at one
-(SURVEY.md §7 "hard parts" #2).
+that host's bucket (bucket = f(host), url → host is a function), so
+url-dedup, the seen anti-join, and the per-host politeness scan all see
+complete groups in a single shuffle. Virtual times for round r+1 are a
+pure function of state known at the end of round r (per-host admitted
+counts × crawl delay), so they are precomputed into the frontier file —
+this is what makes the crawl order independent of physical parallelism
+AND keeps the per-round shuffle count at one (SURVEY.md §7 "hard parts"
+#2).
 
 Determinism at any parallelism (SURVEY.md §4.2):
 * virtual time is a pure function of crawl history, never wall-clock;
@@ -37,13 +48,16 @@ Determinism at any parallelism (SURVEY.md §4.2):
   global integer rank is ever materialized (ranks don't distribute;
   the sort key does).
 
-Crawl state lives in the frontier runs, not in actors. Frontier k is
-one run per host bucket, ``frontier_k/part-{b:05d}.parquet``, sorted by
-its stored ``uh = hash64_str(url)``, and a url is seen once it is
-admitted into a frontier. So the admission task of bucket b for
-frontier k reads the bucket's runs of rounds < k and:
-* screens ``seen`` by binary-searching the candidates' hashes in each
-  run's stored ``uh``, confirming every hit against the stored url
+Crawl state lives in the frontier runs, not in actors. Every url has one
+crawl key, ``ck = crawl_key(url)``: the top 16 bits of its host's hash,
+then url-hash bits. Bucket b is a contiguous range of the 16-bit host
+prefix, so it is a contiguous ck range. Frontier k is one run per host
+bucket, ``frontier_k/part-{b:05d}.parquet``, sorted by its stored ``ck``,
+and a url is seen once it is admitted into a frontier. So the admission
+task of bucket b for frontier k reads the bucket's runs of rounds < k
+and:
+* screens ``seen`` by binary-searching the candidates' keys in each
+  run's stored ``ck``, confirming every hit against the stored url
   string (a 64-bit collision never drops a url) — history urls are
   never re-hashed and no set is resident between rounds;
 * takes each host's politeness base as its count of admitted rows in
@@ -52,21 +66,32 @@ frontier k reads the bucket's runs of rounds < k and:
   ``max_pages`` budget truncated;
 * writes its own run (tmp file + ``os.replace``, deterministic bytes);
   it reads only earlier runs, so a retried task rewrites the same file.
+  Each admission groupby is a barrier: round k+1's tasks start only
+  after every run of frontier k is written.
 
 Checkpoint/resume (north rule): every round writes ``output_r`` +
-``frontier_{r+1}``, then an atomically-renamed ``manifest_r.json`` of
-scalars only: row counts, totals, the bucket count, the cutoff. Round
-r's admitted rows are frontier r's runs, only those up to the cutoff if
-a budget truncated it: no other copy exists. Resume continues at the
-first round without a manifest from the runs on disk, reusing the
-recorded bucket count. Readers list ``*.parquet`` only, so a stray
-``*.tmp`` is inert.
+``frontier_{r+1}``. After the execution ends the driver writes an
+atomically-renamed ``manifest_r.json`` of scalars only for each round:
+row counts from footers, totals, the bucket count, the cutoff, and
+``elapsed_s``: the span from frontier r's last write to frontier r+1's
+(output r's for the last round). Rounds overlap inside one execution,
+so this is not the wall time a round took as its own execution: round
+r's first fetches run before frontier r's last run is written, and the
+spans of a multi-node cluster come from several clocks. Round r's
+admitted rows are frontier r's runs, only those up to the cutoff if a
+budget truncated it: no other copy exists. Since each admission groupby
+is a barrier, a run in frontier k+2 proves round k complete: resume
+folds the manifests of the rounds proven that way, then restarts from
+the runs of the first round not proven, after resetting its output dir
+and every later frontier, with the recorded bucket count (the
+manifests', or ``crawl.json``'s before any manifest exists). Readers
+list ``*.parquet`` only, so a stray ``*.tmp`` is inert.
 
-Driver-state discipline (the 10^10-frontier contract): the round loop
-never materializes a round in one process and holds scalars only —
-frontier row counts come from parquet FOOTER METADATA; every Dataset
-read of seeds or runs is planned from footers too (row-group slices,
-no sampling task for the driver to wait on, :func:`_planned_read`);
+Driver-state discipline (the 10^10-frontier contract): the driver never
+materializes a round in one process and holds scalars only — frontier
+row counts come from parquet FOOTER METADATA; every Dataset read of
+seeds or runs is planned from footers too (row-group slices, no
+sampling task for the driver to wait on, :func:`_planned_read`);
 budget truncation is a distributed ``sort(ORDER_KEYS).limit(K)`` that
 keeps one row per sorted block, the block's last, and a Ray task takes
 the cutoff as their maximum, so no task holds the admitted rows; the
@@ -77,35 +102,32 @@ on the driver. The only driver ``ray.get`` is the budget cutoff
 (tests/test_keyed.py guards this).
 
 Scale notes (10^10 frontier, SURVEY.md §7):
-* The fetch-join is one range merge-join. ``sources/hashindex.py``
-  lays the corpus out once, sorted by ``hash64_str(url)`` in small row
-  groups with a footer table of each group's [min, max] hash. The
-  driver cuts that table into ~2×CPU contiguous hash ranges and keeps
-  only their bounds. Each range is one task: it reads the round's run
-  rows whose ``uh`` falls in the range (run row-group statistics prune
-  the rest), then only the layout row groups that some admitted
-  ``uh`` touches, and keeps the corpus rows whose url string equals an
-  admitted url. A sparse round reads few row groups; a dense one reads
-  each once. No process holds the admitted set and no html shuffles.
-  With ``fetcher_cls``, one paced fetch task per frontier run replaces
-  the join (the live deployment shape): a run holds all of its hosts'
-  rows of the round, so the task spaces each host's fetches by its
-  crawl delay with no shared state.
-* Hot hosts serialize only their *ordering*, not their fetches: the
-  bucket task sorts its Arrow table by (host, priority, pvt, pli, url)
-  and ranks each host's rows from the run starts of the sorted ``host``
-  column; bases and delays are looked up once per distinct host. No
-  block is converted to pandas. Admission has one path: every
-  candidate of a host lands in its bucket's task, so a host with k
-  candidates costs O(k log k) in ONE task and the bound is that task's
-  memory (a host whose seeds span many read blocks is
-  checked against the model by test_giant_host_spanning_blocks). Past
-  that bound, salt ``host#chunk`` for queue storage and keep a single
-  budget key.
+* The fetch-join is a co-partitioned merge-join (:func:`_join_run`):
+  the corpus layout (``sources/hashindex.py``) is sorted by ``ck`` too,
+  in small row groups with a footer table of each group's [min, max]
+  key, so a join task, given about JOIN_ROWS admitted rows, reads only
+  the layout row groups their keys touch, and keeps the corpus rows
+  whose url string equals an admitted url. No process holds the
+  admitted set and no html shuffles. With ``fetcher_cls``, one paced
+  fetch task per run replaces the join (the live deployment shape): a
+  run holds all of its hosts' rows of the round, so the task spaces
+  each host's fetches by its crawl delay with no shared state.
+* Hot hosts serialize only their *ordering*: the bucket task sorts its
+  Arrow table by (host, priority, pvt, pli, url) and ranks each host's
+  rows from the run starts of the sorted ``host`` column; bases and
+  delays are looked up once per distinct host. No block is converted to
+  pandas. Admission has one path: every candidate of a host lands in
+  its bucket's task, so a host with k candidates costs O(k log k) in
+  ONE task and the bound is that task's memory (a host whose seeds span
+  many read blocks is checked against the model by
+  test_giant_host_spanning_blocks, and its fetch, spread over many join
+  tasks, by test_giant_host_fetch). Past that bound, salt
+  ``host#chunk`` for queue storage and keep a single budget key.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import json
 import os
@@ -127,7 +149,6 @@ from ..functions.urls import (
     extract_host,
     is_valid_url,
     matches_ignore_patterns,
-    url_hash64,
 )
 from ..ops.keyed import lookup_sorted
 from ..sources.hashindex import build_hash_index, touched_groups
@@ -156,24 +177,30 @@ FRONTIER_SCHEMA = pa.schema(
     [CANDIDATE_SCHEMA.field(n) for n in ["url", "host", "priority", "pvt", "pli"]]
     + [("vt", pa.float64())])
 FRONTIER_COLUMNS = FRONTIER_SCHEMA.names
-#: a run on disk: the frontier row plus ``uh = hash64_str(url)``, the
-#: key the run is sorted by (seen probe and fetch-join ranges)
-RUN_SCHEMA = FRONTIER_SCHEMA.append(pa.field("uh", pa.int64()))
-#: rows per run row group: one fixed size, so a run's row-group
-#: statistics prune a hash range
+#: a run on disk: the frontier row plus ``ck = crawl_key(url)``, the
+#: key the run is sorted by (seen probe and corpus join)
+RUN_SCHEMA = FRONTIER_SCHEMA.append(pa.field("ck", pa.int64()))
+#: rows per run row group: one fixed size
 RUN_GROUP_ROWS = 4096
+#: url-hash bits of a crawl key, below its 16-bit host prefix
+CK_URL_BITS = 47
 #: rows per row group of the corpus layout the fetch-join reads
 LAYOUT_GROUP_ROWS = 4096
 ORDER_KEYS = ["vt", "priority", "pvt", "pli", "url"]
 #: frontier metadata that rides the fetch-join → extraction → discovery
 META_COLUMNS = ["priority", "vt", "pvt", "pli"]
+#: the admitted rows the corpus join takes (:func:`_join_run`)
+JOIN_COLUMNS = ["url", "ck"] + META_COLUMNS
+#: admitted rows per corpus-join task: a round's fetch and extraction
+#: split by rows, whatever its hosts and buckets
+JOIN_ROWS = 256
 #: rows per block of a footer-planned read (:func:`_planned_read`)
 READ_BLOCK_ROWS = 8192
 
 
 class StaleCheckpointError(RuntimeError):
-    """A resumed checkpoint holds a frontier run without the ``uh``
-    column: it predates the hash-sorted run format and cannot resume."""
+    """A resumed checkpoint holds a frontier run without the ``ck``
+    column: it predates the crawl-key run format and cannot resume."""
 
 
 def _cpus() -> int:
@@ -185,12 +212,28 @@ def _cpus() -> int:
 
 def _n_buckets() -> int:
     """Admission shuffle width: ~2 reduce tasks per core, floor 16.
-    The bucket VALUE for a url is ``url_hash64(host) % n_buckets`` and
-    frontier runs are keyed by it, so one crawl keeps one value: it is
-    recorded in every manifest, and resume reuses the recorded value
-    whatever the size of the cluster it resumes on."""
+    The bucket VALUE for a url is its range of the 16-bit host prefix of
+    ``ck`` (:func:`_candidate_table`) and frontier runs are keyed by it, so
+    one crawl keeps one value: it is recorded in ``crawl.json`` and in
+    every manifest, and resume reuses the recorded value whatever the
+    size of the cluster it resumes on."""
     cpus = _cpus()
     return max(16, 2 * cpus) if cpus else 64
+
+
+def crawl_key(urls, hosts=None) -> np.ndarray:
+    """The crawl key ``ck`` of each url, a non-negative int64: the top 16
+    bits of ``hash64_str(extract_host(url))``, then the low CK_URL_BITS
+    bits of ``hash64_str(url)``. One key orders the corpus layout (the
+    crawl builds it with ``key_hash=crawl_key``), the candidates'
+    buckets and the frontier runs, so a url has one ``ck`` everywhere.
+    ``hosts``, if given, must be ``extract_host`` of each url (candidate
+    and run tables carry that column)."""
+    if hosts is None:
+        hosts = [extract_host(u) for u in (
+            urls.to_pylist() if isinstance(urls, (pa.Array, pa.ChunkedArray)) else urls)]
+    prefix = hash64_str(hosts) >> CK_URL_BITS
+    return (prefix << CK_URL_BITS) | (hash64_str(urls) & ((1 << CK_URL_BITS) - 1))
 
 
 class RunSeen:
@@ -227,21 +270,24 @@ class CrawlResult:
 # --------------------------------------------------------------------------
 # candidate construction
 
-def _candidate_table(rows: dict) -> pa.Table:
+def _candidate_table(rows: dict, n_buckets: int) -> pa.Table:
+    """The candidate rows (:func:`_push_candidate`) as a table. A url's
+    bucket is its ``ck``'s range of the 16-bit host prefix, so a bucket
+    is one contiguous ck range."""
+    ck = crawl_key(rows["url"], rows["host"])
+    rows["bucket"] = ((ck >> CK_URL_BITS) * n_buckets) >> 16
     return pa.table({n: pa.array(rows[n], CANDIDATE_SCHEMA.field(n).type)
                      for n in CANDIDATE_SCHEMA.names})
 
 
 def _new_rows() -> dict:
-    return {n: [] for n in CANDIDATE_SCHEMA.names}
+    return {n: [] for n in CANDIDATE_SCHEMA.names if n != "bucket"}
 
 
 def _push_candidate(rows: dict, canon: str, priority: int, pvt: float, pli: int,
-                    w_pri: int, w_pvt: float, w_pli: int, w_canon: str,
-                    n_buckets: int) -> None:
-    host = extract_host(canon)
+                    w_pri: int, w_pvt: float, w_pli: int, w_canon: str) -> None:
     rows["url"].append(canon)
-    rows["host"].append(host)
+    rows["host"].append(extract_host(canon))
     rows["priority"].append(priority)
     rows["pvt"].append(pvt)
     rows["pli"].append(pli)
@@ -249,7 +295,6 @@ def _push_candidate(rows: dict, canon: str, priority: int, pvt: float, pli: int,
     rows["w_pvt"].append(w_pvt)
     rows["w_pli"].append(w_pli)
     rows["w_canon"].append(w_canon)
-    rows["bucket"].append(url_hash64(host) % n_buckets)
 
 
 def _planned_read(files: list, columns: list, fn) -> Optional[ray.data.Dataset]:
@@ -316,13 +361,13 @@ def _seed_candidates(seeds_path: str, robots_ref, config: CrawlConfig,
                 continue
             if config.respect_robots and not robots.is_allowed(canon):
                 continue
-            _push_candidate(rows, canon, int(pri), -1.0, int(sidx), 0, -1.0, 0, "",
-                            n_buckets)
-        return _candidate_table(rows)
+            _push_candidate(rows, canon, int(pri), -1.0, int(sidx), 0, -1.0, 0, "")
+        return _candidate_table(rows, n_buckets)
 
     files = _parquet_files(seeds_path) if os.path.isdir(seeds_path) else [seeds_path]
     ds = _planned_read(files, ["url", "seed_index", "priority"], to_cands)
-    return ds if ds is not None else ray.data.from_arrow(_candidate_table(_new_rows()))
+    return ds if ds is not None else ray.data.from_arrow(
+        _candidate_table(_new_rows(), n_buckets))
 
 
 def _link_candidates(
@@ -351,9 +396,8 @@ def _link_candidates(
                     continue
                 if config.respect_robots and not robots.is_allowed(canon):
                     continue
-                _push_candidate(rows, canon, p_pri, p_vt, li, p_pri, p_pvt, p_pli, url,
-                                n_buckets)
-        return _candidate_table(rows)
+                _push_candidate(rows, canon, p_pri, p_vt, li, p_pri, p_pvt, p_pli, url)
+        return _candidate_table(rows, n_buckets)
 
     return output_ds.map_batches(expand, batch_format="pyarrow")
 
@@ -408,55 +452,57 @@ def _le_cutoff(t: pa.Table, cut: list) -> np.ndarray:
     return le | eq
 
 
-def _probe_runs(urls: pa.ChunkedArray, runs: list,
-                cutoffs: dict) -> tuple[np.ndarray, dict]:
+def _probe_runs(urls: pa.ChunkedArray, runs: list, cutoffs: dict,
+                hosts=None) -> tuple[np.ndarray, dict]:
     """``(seen mask of the candidate urls, admitted rows per host)`` over
-    their bucket's ``(round, path)`` runs. Each run is sorted by its
-    stored ``uh``: the candidates are hashed once and binary-searched in
+    their bucket's ``(round, path)`` runs (``hosts``: the candidates'
+    host column, see :func:`crawl_key`). Each run is sorted by its
+    stored ``ck``: the candidates are keyed once and binary-searched in
     every run, and each hit is confirmed against the stored url string
     (a 64-bit collision never drops a url). History urls are never
     re-hashed, and a run's url strings are read only if it has a hit.
     Every row is seen; a row counts toward its host's politeness base
     only if it was admitted, i.e. up to the cutoff of a round a budget
     truncated (``cutoffs``: round → ORDER_KEYS tuple)."""
-    q = hash64_str(urls)
+    q = crawl_key(urls, hosts)
     dup = np.zeros(len(urls), dtype=bool)
-    hosts = []
+    counted = []
     for k, path in runs:
         if not os.path.exists(path):
             continue  # the bucket had no admitted url that round
         cut = cutoffs.get(k)
         with pq.ParquetFile(path) as pf:  # one file: skip dataset discovery
-            t = pf.read(columns=["uh", "host"] + (ORDER_KEYS if cut else []))
-            uh = t["uh"].to_numpy()
-            qi, pos = lookup_sorted(uh, np.arange(len(uh)), q)
+            t = pf.read(columns=["ck", "host"] + (ORDER_KEYS if cut else []))
+            ck = t["ck"].to_numpy()
+            qi, pos = lookup_sorted(ck, np.arange(len(ck)), q)
             if len(qi):
                 hist = (t if cut else pf.read(columns=["url"]))["url"].take(pos)
                 dup[qi[pc.equal(hist, urls.take(qi)).to_numpy()]] = True
-        hosts.append(t["host"] if cut is None else t["host"].filter(_le_cutoff(t, cut)))
+        counted.append(t["host"] if cut is None else t["host"].filter(_le_cutoff(t, cut)))
     # the runs' chunks, not the ChunkedArrays: pa.chunked_array converts
     # anything that is not an Array through Python objects, per value
-    chunks = [c for h in hosts for c in h.chunks]
+    chunks = [c for h in counted for c in h.chunks]
     counts = pc.value_counts(pa.chunked_array(chunks, pa.string()))
     return dup, dict(zip(counts.field("values").to_pylist(),
                          counts.field("counts").to_pylist()))
 
 
 def _write_run(t: pa.Table, ckpt: str, k: int, b: int) -> pa.Table:
-    """Write bucket ``b``'s rows of frontier ``k`` as its run: with
-    ``uh = hash64_str(url)``, sorted by ``(uh, url)`` so the bytes are
-    deterministic, in row groups of RUN_GROUP_ROWS; tmp file +
-    ``os.replace`` so a reader never sees a partial run. Returns the row
-    count."""
-    if t.num_rows:
-        t = t.append_column("uh", pa.array(hash64_str(t["url"]), pa.int64()))
-        t = t.sort_by([("uh", "ascending"), ("url", "ascending")])
-        path = _run_path(ckpt, k, b)
-        tmp = f"{path}.{os.getpid()}.tmp"
-        pq.write_table(t.select(RUN_SCHEMA.names).cast(RUN_SCHEMA), tmp,
-                       row_group_size=RUN_GROUP_ROWS)
-        os.replace(tmp, path)
-    return pa.table({"n": [t.num_rows]})
+    """Write bucket ``b``'s rows of frontier ``k`` (FRONTIER_COLUMNS) as
+    its run: with ``ck = crawl_key(url)``, sorted by ``(ck, url)`` so the
+    bytes are deterministic, in row groups of RUN_GROUP_ROWS; tmp file +
+    ``os.replace`` so a reader never sees a partial run. Returns the
+    run's JOIN_COLUMNS in its order (no run is written for no row)."""
+    if not t.num_rows:
+        return RUN_SCHEMA.empty_table().select(JOIN_COLUMNS)
+    t = t.append_column("ck", pa.array(crawl_key(t["url"], t["host"]), pa.int64()))
+    t = t.sort_by([("ck", "ascending"), ("url", "ascending")])
+    path = _run_path(ckpt, k, b)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    pq.write_table(t.select(RUN_SCHEMA.names).cast(RUN_SCHEMA), tmp,
+                   row_group_size=RUN_GROUP_ROWS)
+    os.replace(tmp, path)
+    return t.select(JOIN_COLUMNS)
 
 
 def _apply_url_gate(cands: ray.data.Dataset,
@@ -481,7 +527,8 @@ def _admit_bucket(g: pa.Table, ckpt: str, k: int, cutoffs: dict,
     """One host bucket's admission into frontier ``k`` (``g``: all of the
     round's candidates in the bucket): in-round dedup, the seen anti-join
     against the bucket's runs of rounds < ``k``, per-host virtual times
-    and the write of the bucket's run."""
+    and the write of the bucket's run, whose admitted rows it returns
+    (:func:`_write_run`)."""
     b = g["bucket"][0].as_py()
     # 1. in-round dedup: min winner key per url == first discovery in
     #    sequential crawl order (model.py step 4)
@@ -490,7 +537,7 @@ def _admit_bucket(g: pa.Table, ckpt: str, k: int, cutoffs: dict,
     # 2. seen anti-join: the bucket's earlier runs hold every seen url
     #    of its hosts (bucket = f(host)); see _probe_runs
     dup, admitted = _probe_runs(
-        g["url"], [(j, _run_path(ckpt, j, b)) for j in range(k)], cutoffs)
+        g["url"], [(j, _run_path(ckpt, j, b)) for j in range(k)], cutoffs, g["host"])
     g = g.filter(~dup)
 
     # 3. politeness: k-th candidate of host (ordered by priority, pvt,
@@ -512,9 +559,10 @@ def _admit(cands: ray.data.Dataset, ckpt: str, k: int, cutoffs: dict,
            robots_ref, config: CrawlConfig) -> ray.data.Dataset:
     """Admit candidates into frontier ``k``'s runs in ONE shuffle: a
     host-bucket groupby whose task is :func:`_admit_bucket` (see module
-    doc); yields one row count per bucket. The optional URL pre-fetch
-    gate runs first — both discovery sites (seeds, link expansion) feed
-    through here, so the gate screens every candidate exactly once."""
+    doc); yields the admitted rows of each run written (JOIN_COLUMNS, in
+    ``ck`` order). The optional URL pre-fetch gate runs first — both
+    discovery sites (seeds, link expansion) feed through here, so the
+    gate screens every candidate exactly once."""
     if config.url_gate is not None:
         cands = _apply_url_gate(cands, config.url_gate)
     cands = cands.map_batches(_precombine, batch_format="pyarrow")
@@ -562,64 +610,43 @@ def _budget_cut(runs: list, k: int) -> list:
 # --------------------------------------------------------------------------
 # fetch + extract
 
-def _hash_ranges(layout: str) -> list[dict]:
-    """About two per CPU contiguous inclusive hash ranges ``{lo, hi}``
-    covering the whole hash space, cut at row-group starts of the
-    layout so each holds about as many row groups. Reads only the
-    layout's footer table; the ranges are all the driver keeps."""
-    starts = pq.read_table(os.path.join(layout, "index.parquet"),
-                           columns=["min_h"])["min_h"].to_numpy()
-    n = max(1, min(len(starts), 2 * (_cpus() or 1)))
-    cuts = np.unique(np.sort(starts)[np.arange(1, n) * len(starts) // n])
-    lo = np.concatenate([[0], cuts[cuts > 0]]).astype(np.int64)
-    hi = np.append(lo[1:] - 1, np.iinfo(np.int64).max)
-    return [{"lo": int(a), "hi": int(b)} for a, b in zip(lo, hi)]
+@functools.lru_cache(maxsize=4)
+def _layout_groups(layout: str) -> tuple:
+    """A layout's footer table in key order, read once per process (a
+    layout directory never changes: it is named by its source's
+    digest): ``(file names, file code, row group, min_h, max_h)`` per
+    row group, both bounds non-decreasing (the groups of one global
+    sort)."""
+    idx = pq.read_table(os.path.join(layout, "index.parquet"))
+    names, code = np.unique(idx["file"].to_numpy(zero_copy_only=False), return_inverse=True)
+    return (names.tolist(), code, idx["rg"].to_numpy(), idx["min_h"].to_numpy(),
+            idx["max_h"].to_numpy())
 
 
-def _join_range(layout: str, runs: list, cutoff: Optional[list], lo: int, hi: int):
-    """One hash range of the fetch-join: yields the corpus rows of the
-    round's admitted urls whose ``uh`` lies in ``[lo, hi]``, with
-    META_COLUMNS attached, one table per layout file read. Reads the runs'
-    rows in the range (row-group statistics prune the rest) and only the
-    layout row groups in the range that some admitted ``uh`` falls in. A
-    corpus row is kept only if its url string equals an admitted url,
-    so a hash collision cannot leak a row."""
-    adm = pq.read_table(runs, columns=["url", "uh"] + META_COLUMNS,
-                        filters=[("uh", ">=", lo), ("uh", "<=", hi)])
-    if cutoff is not None:  # a budget admitted only the rows up to it
-        adm = adm.filter(_le_cutoff(adm, cutoff))
-    idx = pq.read_table(os.path.join(layout, "index.parquet"),
-                        filters=[("min_h", "<=", hi), ("max_h", ">=", lo)])
-    idx = idx.filter(touched_groups(np.sort(adm["uh"].to_numpy()),
-                                    idx["min_h"].to_numpy(), idx["max_h"].to_numpy()))
-    groups: dict[str, list] = {}
-    for f, g in zip(idx["file"].to_pylist(), idx["rg"].to_pylist()):
-        groups.setdefault(f, []).append(g)
-    for f, rgs in sorted(groups.items()):
-        t = pq.ParquetFile(os.path.join(layout, "data", f)).read_row_groups(
-            sorted(rgs), columns=["url", "html"])
+def _join_run(layout: str, adm: pa.Table):
+    """The corpus fetch of admitted frontier rows (``adm``: JOIN_COLUMNS,
+    a slice of one round's runs): yields the corpus rows of their urls
+    with META_COLUMNS attached, one table per layout file read. The runs
+    and the layout are both sorted by ``ck``, so the rows' [min, max] ck
+    is one window of the layout's row groups (:func:`_layout_groups`),
+    and only the groups in it that some admitted ``ck`` touches are
+    read. A corpus row is kept only if its url string equals an
+    admitted url, so a key collision cannot leak a row."""
+    if not adm.num_rows:
+        return
+    ck = np.sort(adm["ck"].to_numpy())
+    names, code, rg, min_h, max_h = _layout_groups(layout)
+    lo, hi = np.searchsorted(max_h, ck[0]), np.searchsorted(min_h, ck[-1], "right")
+    sel = lo + np.flatnonzero(touched_groups(ck, min_h[lo:hi], max_h[lo:hi]))
+    for f in np.unique(code[sel]):
+        t = pq.ParquetFile(os.path.join(layout, "data", names[f])).read_row_groups(
+            np.sort(rg[sel][code[sel] == f]).tolist(), columns=["url", "html"])
         pos = pc.index_in(t["url"], value_set=adm["url"])
         keep = pc.is_valid(pos)
         meta = adm.take(pc.filter(pos, keep))
-        sel = t.filter(keep)
-        yield pa.table({"url": sel["url"], "html": sel["html"],
+        t = t.filter(keep)
+        yield pa.table({"url": t["url"], "html": t["html"],
                         **{c: meta[c] for c in META_COLUMNS}})
-
-
-def _range_fetch_join(layout: str, runs: list, cutoff: Optional[list]) -> ray.data.Dataset:
-    """The corpus-backed fetch: a range merge-join of the round's
-    hash-sorted frontier runs with the hash-sorted corpus layout, one
-    Ray Data task per hash range (:func:`_hash_ranges`,
-    :func:`_join_range`). No process holds the admitted set and no html
-    moves between tasks."""
-    ranges = _hash_ranges(layout)
-
-    def join(batch: pa.Table):
-        for lo, hi in zip(batch["lo"].to_pylist(), batch["hi"].to_pylist()):
-            yield from _join_range(layout, runs, cutoff, lo, hi)
-
-    return ray.data.from_items(ranges, override_num_blocks=len(ranges)).map_batches(
-        join, batch_format="pyarrow", batch_size=1)
 
 
 def _batch_name(urls: pa.ChunkedArray) -> str:
@@ -757,22 +784,26 @@ def _extract_with_meta(batch: pa.Table) -> pa.Table:
 
 
 def _fetch_and_extract(
-    pages_path: str, ckpt: str, round_no: int, odir: str,
+    adm: Optional[ray.data.Dataset], ckpt: str, round_no: int, layout: Optional[str],
     cutoff: Optional[list], robots_ref, config: CrawlConfig,
     fetcher_cls=None, fetcher_kwargs: Optional[dict] = None,
 ) -> ray.data.Dataset:
-    """Fetch the round's admitted urls, then run the extraction kernel.
+    """Fetch the admitted urls of frontier ``round_no``, then run the
+    extraction kernel.
 
-    Without ``fetcher_cls`` the pages come from the corpus: a range
-    merge-join (:func:`_range_fetch_join`) of frontier ``round_no``'s
-    runs, sorted by ``uh = hash64_str(url)``, with the corpus layout of
-    ``sources/hashindex.py``, keyed by the same hash (built once per
-    corpus under ``config.index_dir``, default a ``pages_hidx`` sibling
-    of the pages dir). A round a budget truncated fetches only its rows
-    up to ``cutoff``. With ``fetcher_cls`` there is no corpus join:
-    one paced fetch task per frontier run fetches the admitted rows,
-    each host's spaced by its robots crawl delay (:func:`_live_fetch`,
-    the live deployment shape).
+    Without ``fetcher_cls`` the pages come from the corpus: ``adm``
+    yields the round's admitted rows (JOIN_COLUMNS), which Ray Data cuts
+    into blocks of at most about 1.5 × JOIN_ROWS rows on a cluster of
+    more than one CPU, and one task per block joins them with the corpus
+    ``layout`` of ``sources/hashindex.py``, sorted by the same ``ck``
+    (:func:`_join_run`). So a round's fetch and extraction split by
+    admitted rows, never by host: a giant host's pages spread over many
+    tasks. With ``fetcher_cls`` there is no
+    corpus join: one paced fetch task per run of frontier ``round_no``
+    (all written: a live plan is one round) fetches its admitted rows,
+    up to ``cutoff`` if a budget truncated the round, each host's spaced
+    by its robots crawl delay (:func:`_live_fetch`, the live deployment
+    shape).
 
     Either way the frontier's ordering metadata (META_COLUMNS) rides the
     fetched rows as columns, so extraction and discovery need no
@@ -780,20 +811,25 @@ def _fetch_and_extract(
     pipeline (one file per extracted batch, content-derived idempotent
     names, so task retries overwrite rather than duplicate) and only the
     slim ``(url, links, META_COLUMNS)`` table flows on to the discovery
-    stages — one execution per round, with fetch, extraction, the write
-    and discovery all overlapped by the streaming executor."""
+    stages, with fetch, extraction, the write and discovery all
+    overlapped by the streaming executor."""
+    odir = os.path.join(ckpt, f"output_{round_no:04d}")
     _reset_dir(odir)  # crashed-attempt leftovers
-    runs = _parquet_files(_frontier_dir(ckpt, round_no))
     if fetcher_cls is None:
-        layout = build_hash_index(
-            pages_path, "url",
-            config.index_dir or os.path.join(
-                os.path.dirname(pages_path.rstrip("/")) or ".", "pages_hidx"),
-            columns=["url", "html"], rows_per_group=LAYOUT_GROUP_ROWS)
-        fetched = _range_fetch_join(layout, runs, cutoff)
+        def join(batch: pa.Table):
+            yield from _join_run(layout, batch)
+
+        if _cpus() > 1:
+            # JOIN_ROWS-row blocks, one join task each. On one CPU no
+            # two tasks run at once, so the join fuses into the task that
+            # admitted or read its rows instead: the split's two operator
+            # boundaries cost about 30 ms a round there
+            adm = adm.repartition(target_num_rows_per_block=JOIN_ROWS)
+        fetched = adm.map_batches(join, batch_format="pyarrow", batch_size=None)
     else:
-        fetched = _live_fetch(runs, cutoff, robots_ref, config, fetcher_cls,
-                              fetcher_kwargs, os.path.join(odir, "errors"))
+        fetched = _live_fetch(_parquet_files(_frontier_dir(ckpt, round_no)), cutoff,
+                              robots_ref, config, fetcher_cls, fetcher_kwargs,
+                              os.path.join(odir, "errors"))
     extracted = fetched.map_batches(_extract_with_meta, batch_format="pyarrow",
                                     batch_size=256)
     return _write_and_slim_stage(extracted, round_no, odir)
@@ -825,13 +861,14 @@ def _write_and_slim_stage(extracted: ray.data.Dataset, round_no: int,
         pq.write_table(full, os.path.join(odir, f"part-{_batch_name(batch['url'])}.parquet"))
         return batch.select(slim_cols)
 
-    # batch_size=2048 coalesces the write: extraction upstream runs at
-    # 256 rows/batch (wide html), but one parquet file per 256-row
-    # batch means ~8× the files, footers, and open/close syscalls per
-    # round — the batcher re-buffers the already-slim extracted rows
-    # (text, not html) to ~2k rows per file at ~no memory cost.
+    # batch_size=JOIN_ROWS: the join, extraction, this write and
+    # discovery fuse into one task, which Ray Data gives input bundles
+    # of at least the largest batch size of its stages; a larger write
+    # batch would bundle several join blocks back into one task (2048
+    # did: each round's fetch and extraction ran as ONE task, whatever
+    # the cluster)
     return extracted.map_batches(write_and_slim, batch_format="pyarrow",
-                                 batch_size=2048)
+                                 batch_size=JOIN_ROWS)
 
 
 # --------------------------------------------------------------------------
@@ -846,11 +883,17 @@ def _read_manifest(ckpt: str, r: int) -> dict:
         return json.load(f)
 
 
-def _write_manifest(ckpt: str, r: int, payload: dict) -> None:
-    tmp = _manifest_path(ckpt, r) + ".tmp"
+def _write_json(path: str, payload: dict) -> None:
+    tmp = path + ".tmp"
     with open(tmp, "w") as f:
         json.dump(payload, f, indent=1, sort_keys=True)
-    os.replace(tmp, _manifest_path(ckpt, r))  # atomic completion marker
+    os.replace(tmp, path)  # atomic: a reader sees all of it or nothing
+
+
+def _record_path(ckpt: str) -> str:
+    """``crawl.json``: the crawl's bucket count, written before its first
+    execution, so a resume that finds no manifest still reuses it."""
+    return os.path.join(ckpt, "crawl.json")
 
 
 def _complete_rounds(ckpt: str) -> list[int]:
@@ -879,6 +922,11 @@ def _dir_num_rows(path: str) -> int:
     """Row count from parquet FOOTER metadata only — no data is read,
     no table is materialized (the 10^10-frontier discipline)."""
     return sum(pq.read_metadata(f).num_rows for f in _parquet_files(path))
+
+
+def _last_write(path: str) -> Optional[float]:
+    """Latest write time of a directory's ``*.parquet`` files."""
+    return max((os.stat(f).st_mtime for f in _parquet_files(path)), default=None)
 
 
 def crawl_order_ds(checkpoint_dir: str) -> "ray.data.Dataset":
@@ -931,6 +979,29 @@ def load_crawl_order(checkpoint_dir: str) -> pd.DataFrame:
 # --------------------------------------------------------------------------
 # main loop
 
+def _round_plan(adm: Optional[ray.data.Dataset], ckpt: str, first: int, last: int,
+                layout: Optional[str], cutoffs: dict, robots_ref, config: CrawlConfig,
+                n_buckets: int, fetcher_cls, fetcher_kwargs: Optional[dict]
+                ) -> ray.data.Dataset:
+    """The lazy plan of rounds ``first``..``last``. ``adm`` yields the
+    admitted rows of frontier ``first`` (None for a live fetch, which
+    lists the runs itself). Each round fetches and extracts its admitted
+    pages and writes its output; below ``max_depth`` it discovers their
+    links and admits them into the next frontier, whose admitted rows
+    feed the next round. So the plan ends with the admission of frontier
+    ``last + 1``, or with round ``max_depth``'s output."""
+    for r in range(first, last + 1):
+        out = _fetch_and_extract(adm, ckpt, r, layout, cutoffs.get(r), robots_ref,
+                                 config, fetcher_cls, fetcher_kwargs)
+        if r == config.max_depth:
+            # no expansion: consume the pipeline to drive the writes
+            return out.map_batches(lambda t: t.select(["url"]), batch_format="pyarrow")
+        _reset_dir(_frontier_dir(ckpt, r + 1))  # crashed-attempt leftovers
+        adm = _admit(_link_candidates(out, robots_ref, config, n_buckets), ckpt, r + 1,
+                     cutoffs, robots_ref, config)
+    return adm
+
+
 def run_crawl(
     pages_path: str,
     seeds_path: str,
@@ -943,15 +1014,18 @@ def run_crawl(
 ) -> CrawlResult:
     """Run (or resume) the frontier crawl. See module docstring.
 
-    Pages come from the corpus ``pages_path`` by the range fetch-join.
-    Passing ``fetcher_cls`` replaces that join with paced fetch tasks,
-    one per frontier run, each holding a fetcher constructed with
-    ``fetcher_kwargs``: ``stages.fetch.CorpusFetcher``
+    Pages come from the corpus ``pages_path`` by the corpus join, over
+    a layout sorted by ``ck`` that is built once per corpus
+    under ``config.index_dir`` (default a ``pages_hidx`` sibling of the
+    pages dir). Passing ``fetcher_cls`` replaces that join with paced
+    fetch tasks, one per frontier run, each holding a fetcher
+    constructed with ``fetcher_kwargs``: ``stages.fetch.CorpusFetcher``
     (``pages_path=...``) offline, or ``HttpFetcher`` for a real
     deployment. A host's fetches start at least its robots crawl delay
     apart, within a round and across rounds (:class:`_PacedFetcher`).
-    Resuming from runs written before the hash-sorted run format raises
-    :class:`StaleCheckpointError`."""
+    Without ``max_pages`` or ``fetcher_cls`` the crawl is one Dataset
+    execution; with either, one per round. Resuming from runs written before the crawl-key run
+    format raises :class:`StaleCheckpointError`."""
     os.makedirs(checkpoint_dir, exist_ok=True)
     ctx = ray.data.DataContext.get_current()
     ctx.enable_progress_bars = False
@@ -961,77 +1035,28 @@ def run_crawl(
     # budget-truncated round -> cutoff (at most one: a cut spends the budget)
     cutoffs: dict[int, list] = {}
     pages_budget = config.max_pages
-    start_round = total_admitted = total_fetched = 0
+    total_admitted = total_fetched = 0
 
-    done_rounds = _complete_rounds(checkpoint_dir) if resume else []
-    if done_rounds:
-        # the runs on disk ARE the seen set and the bases: only scalars
-        # come back from the manifests
-        for r in done_rounds:
-            m = _read_manifest(checkpoint_dir, r)
-            if m["cutoff"] is not None:
-                cutoffs[r] = m["cutoff"]
-        n_buckets = m["n_buckets"]  # runs are keyed by bucket
-        total_admitted, total_fetched = m["total_admitted"], m["total_fetched"]
-        if pages_budget is not None:
-            pages_budget -= total_admitted
-        start_round = done_rounds[-1] + 1
-        for k in range(start_round + 1):
-            for f in _parquet_files(_frontier_dir(checkpoint_dir, k)):
-                if "uh" not in pq.read_schema(f).names:
-                    raise StaleCheckpointError(
-                        f"{f}: the checkpoint predates the hash-sorted frontier "
-                        "run format (no 'uh' column); crawl into a new "
-                        "checkpoint_dir instead of resuming")
-    else:
-        # Round 0 discovery: seeds → fused admit → frontier_0 runs
-        cands = _seed_candidates(seeds_path, robots_ref, config, n_buckets)
-        _reset_dir(_frontier_dir(checkpoint_dir, 0))  # crashed-attempt leftovers
-        _admit(cands, checkpoint_dir, 0, cutoffs, robots_ref, config).count()
-
-    for r in range(start_round, config.max_depth + 1):
-        if pages_budget is not None and pages_budget <= 0:
-            break
-        fdir = _frontier_dir(checkpoint_dir, r)
+    def close(r: int) -> bool:
+        """Write round r's manifest from footers and write times, if
+        frontier r holds a row; True if frontier r+1 does too."""
+        nonlocal pages_budget, total_admitted, total_fetched
+        fdir, ndir = _frontier_dir(checkpoint_dir, r), _frontier_dir(checkpoint_dir, r + 1)
+        odir = os.path.join(checkpoint_dir, f"output_{r:04d}")
         n_frontier = _dir_num_rows(fdir)
         if n_frontier == 0:
-            break
-        t0 = time.time()
-
-        # budget truncation: the round admits its runs' rows up to the
-        # cutoff, and later bases count frontier r only that far
-        n_admitted = n_frontier
-        if pages_budget is not None and n_frontier > pages_budget:
-            cutoffs[r] = _budget_cut(_parquet_files(fdir), pages_budget)
-            n_admitted = pages_budget
+            return False
+        n_admitted = n_frontier if pages_budget is None else min(n_frontier, pages_budget)
         if pages_budget is not None:
             pages_budget -= n_admitted
-
-        # ONE execution per round: fetch-join → extract (+ in-pipeline
-        # output write) → discovery → fused admit → next frontier's runs
-        odir = os.path.join(checkpoint_dir, f"output_{r:04d}")
-        out_slim = _fetch_and_extract(pages_path, checkpoint_dir, r, odir,
-                                      cutoffs.get(r), robots_ref, config,
-                                      fetcher_cls, fetcher_kwargs)
-        n_next = 0
-        if r < config.max_depth:
-            cands = _link_candidates(out_slim, robots_ref, config, n_buckets)
-            ndir = _frontier_dir(checkpoint_dir, r + 1)
-            _reset_dir(ndir)  # crashed-attempt leftovers
-            _admit(cands, checkpoint_dir, r + 1, cutoffs, robots_ref,
-                   config).count()
-            n_next = _dir_num_rows(ndir)
-        else:
-            # no expansion: consume the pipeline to drive the writes
-            out_slim.map_batches(
-                lambda t: t.select(["url"]), batch_format="pyarrow"
-            ).count()
+        n_next = _dir_num_rows(ndir) if r < config.max_depth else 0
         n_fetched = _dir_num_rows(odir)
-
         total_admitted += n_admitted
         total_fetched += n_fetched
-
-        _write_manifest(checkpoint_dir, r, {
+        # elapsed_s: the span from its frontier's last write to the next one's
+        started = _last_write(fdir)
+        ended = (_last_write(ndir) if n_next else None) or _last_write(odir) or started
+        _write_json(_manifest_path(checkpoint_dir, r), {
             "round": r,
             "n_admitted": n_admitted,
             "n_fetched": n_fetched,
@@ -1040,10 +1065,102 @@ def run_crawl(
             "cutoff": cutoffs.get(r),
             "total_admitted": total_admitted,
             "total_fetched": total_fetched,
-            "elapsed_s": time.time() - t0,
+            "elapsed_s": ended - started,
         })
-        if n_next == 0:
+        return n_next > 0
+
+    start = 0
+    fresh = True
+    if resume:
+        # the runs on disk ARE the seen set and the bases: only scalars
+        # come back from the manifests
+        done = _complete_rounds(checkpoint_dir)
+        for r in done:
+            m = _read_manifest(checkpoint_dir, r)
+            if m["cutoff"] is not None:
+                cutoffs[r] = m["cutoff"]
+        if done:
+            n_buckets = m["n_buckets"]  # runs are keyed by bucket
+            total_admitted, total_fetched = m["total_admitted"], m["total_fetched"]
+            if pages_budget is not None:
+                pages_budget -= total_admitted
+        elif os.path.exists(_record_path(checkpoint_dir)):
+            with open(_record_path(checkpoint_dir)) as f:
+                n_buckets = json.load(f)["n_buckets"]
+        start = len(done)
+        # each admission groupby is a barrier: a run in frontier k+2
+        # proves round k complete (output k and frontier k+1 written)
+        while _parquet_files(_frontier_dir(checkpoint_dir, start + 2)):
+            close(start)
+            start += 1
+        # frontier 0 is complete once a frontier-1 run exists
+        fresh = start == 0 and not _parquet_files(_frontier_dir(checkpoint_dir, 1))
+        if not fresh:
+            for k in range(start + 1):
+                for f in _parquet_files(_frontier_dir(checkpoint_dir, k)):
+                    if "ck" not in pq.read_schema(f).names:
+                        raise StaleCheckpointError(
+                            f"{f}: the checkpoint predates the hash-sorted frontier "
+                            "run format keyed by the crawl key (no 'ck' column); "
+                            "crawl into a new checkpoint_dir instead of resuming")
+            for k in range(start + 1, config.max_depth + 1):
+                shutil.rmtree(_frontier_dir(checkpoint_dir, k), ignore_errors=True)
+
+    layout = None
+    if fetcher_cls is None:
+        layout = build_hash_index(
+            pages_path, "url",
+            config.index_dir or os.path.join(
+                os.path.dirname(pages_path.rstrip("/")) or ".", "pages_hidx"),
+            columns=["url", "html"], rows_per_group=LAYOUT_GROUP_ROWS,
+            key_hash=crawl_key)
+
+    # a budget can cut a round only once its size is known, and a live
+    # fetch task paces a whole run: both plan one round at a time
+    per_round = pages_budget is not None or fetcher_cls is not None
+    head = None  # lazy admitted rows of frontier `start`, before its runs exist
+    if fresh:
+        # round 0 discovery: seeds → fused admit → frontier_0 runs
+        _reset_dir(_frontier_dir(checkpoint_dir, 0))  # crashed-attempt leftovers
+        _write_json(_record_path(checkpoint_dir), {"n_buckets": n_buckets})
+        head = _admit(_seed_candidates(seeds_path, robots_ref, config, n_buckets),
+                      checkpoint_dir, 0, cutoffs, robots_ref, config)
+
+    r = start
+    while r <= config.max_depth:
+        if head is not None and per_round:
+            head.count()  # the seed execution ends after its admission
+            head = None
+        if head is None:
+            if pages_budget is not None and pages_budget <= 0:
+                break
+            runs = _parquet_files(_frontier_dir(checkpoint_dir, r))
+            if not runs:
+                break
+            # budget truncation: the round admits its runs' rows up to
+            # the cutoff, and later bases count frontier r only that far
+            if pages_budget is not None and _dir_num_rows(
+                    _frontier_dir(checkpoint_dir, r)) > pages_budget:
+                cutoffs[r] = _budget_cut(runs, pages_budget)
+            if fetcher_cls is None:
+                head = _read_runs(runs, JOIN_COLUMNS, cutoffs.get(r))
+        last = r if per_round else config.max_depth
+        # ONE execution: fetch → extract (+ output write) → discovery →
+        # admission, round after round, up to `last`
+        plan = _round_plan(head, checkpoint_dir, r, last, layout, cutoffs, robots_ref,
+                           config, n_buckets, fetcher_cls, fetcher_kwargs)
+        # Ray Data's default reserves each operator an even share of half
+        # the cluster, and the plan holds four operators per round, most
+        # of them idle at any time (a round's admission waits for all of
+        # the round before): on 4 CPUs the join tasks of one round ran
+        # one at a time. The setting lives in this plan's own context, a
+        # copy taken when its source was made
+        plan.context.op_resource_reservation_enabled = False
+        plan.count()
+        head = None
+        if not all(close(k) for k in range(r, last + 1)):
             break
+        r = last + 1
 
     n_rounds = len(_complete_rounds(checkpoint_dir))
     # frontier k > max_depth is never written

@@ -74,9 +74,24 @@ def extract_host(url: str) -> str:
     return netloc
 
 
+#: an absolute http(s) href that ``urljoin`` returns unchanged: a
+#: lowercase scheme, a host that starts with a letter or digit, then
+#: printable ASCII without ``?#;[]`` (no query, fragment, params or
+#: IPv6 brackets for ``urlsplit`` to split, strip or reject)
+_ABSOLUTE_HREF = re.compile(r"https?://[A-Za-z0-9][!-\"$-:<->@-Z\\^-~]*")
+
+
 def resolve_link(base_url: str, href: str) -> str:
     """Absolute URL of an in-page link (``scraper.py:243`` uses the same
-    ``urljoin`` for image src resolution)."""
+    ``urljoin`` for image src resolution). An href that is already
+    absolute (:data:`_ABSOLUTE_HREF`) comes back as is, when the base is
+    one ``urlsplit`` cannot reject (non-empty ASCII without brackets):
+    ``urljoin`` would only split it and join the same parts again.
+    Anything else goes to ``urljoin``; tests/test_urls.py checks both
+    agree, and raise alike, on random draws."""
+    if (base_url and _ABSOLUTE_HREF.fullmatch(href) and base_url.isascii()
+            and "[" not in base_url and "]" not in base_url):
+        return href
     return urljoin(base_url, href)
 
 

@@ -2,10 +2,11 @@
 touches instead of scanning the table.
 
   1. ``build_hash_index`` (once per source, amortized over every later
-     read): add ``__key_h`` = ``vhash.hash64_str`` of the key (an int
-     key hashes as its decimal string), ONE global
-     ``Dataset.sort(__key_h)`` (the only all-to-all, paid once), write
-     parquet with small row groups, then read back ONLY THE FOOTERS to
+     read): add ``__key_h`` = the layout's key hash of the key column
+     (``vhash.hash64_str`` by default; an int key hashes as its decimal
+     string), ONE global ``Dataset.sort(__key_h)`` (the only
+     all-to-all, paid once), write parquet with small row groups, then
+     read back ONLY THE FOOTERS to
      record each row group's [min_h, max_h] in ``index.parquet``. The
      files are sorted, so the ranges are tight and disjoint: one index
      row per row group (a 10^10-row corpus at 4k rows/group is a
@@ -29,11 +30,13 @@ fragment PLAN (file + row-group runs, not rows) does pass through the
 driver — it is bounded by touched row groups, i.e. metadata-, never
 row-scale.
 
-The crawl's fetch-join (``crawl/frontier.py:_range_fetch_join``) reads
-the same layout: its frontier runs store ``uh = hash64_str(url)``, so a
-row group's [min_h, max_h] compares directly with them. ``hash_lookup``
-serves the ``indexed_fetch`` driver query (SQL oracle: a plain WHERE
-over the same table).
+The crawl's fetch-join (``crawl/frontier.py:_join_run``) reads a layout
+ordered by its crawl key (``key_hash=frontier.crawl_key``: host-hash
+prefix, then url-hash bits), and its frontier runs store the same key,
+so a row group's [min_h, max_h] compares directly with them and one
+host bucket's rows are one contiguous slice. ``hash_lookup`` serves the
+``indexed_fetch`` driver query (SQL oracle: a plain WHERE over the same
+table) over a default ``hash64_str`` layout.
 """
 
 from __future__ import annotations
@@ -58,16 +61,21 @@ from ..vhash import hash64_str
 
 __all__ = ["build_hash_index", "hash_lookup", "touched_groups"]
 
-#: the layout's key-hash column: ``vhash.hash64_str`` of the key
+#: the layout's key-hash column: the layout's key hash of the key
 KEY_H = "__key_h"
 
 
-def _src_digest(src_path: str, key_col: str, columns, rows_per_group: int) -> str:
+def _hash_name(key_hash) -> str:
+    return f"{key_hash.__module__}.{key_hash.__qualname__}"
+
+
+def _src_digest(src_path: str, key_col: str, columns, rows_per_group: int,
+                key_hash=hash64_str) -> str:
     """Digest of the layout's source signature: file names, sizes and
-    ``mtime_ns``, the key, the columns and the row-group size. An
-    in-place rewrite with same-size files (easy with fixed-schema
-    synthetic corpora) changes ``mtime_ns``, so it names a new layout
-    instead of serving rows of the old corpus."""
+    ``mtime_ns``, the key, its hash (by name), the columns and the
+    row-group size. An in-place rewrite with same-size files (easy with
+    fixed-schema synthetic corpora) changes ``mtime_ns``, so it names a
+    new layout instead of serving rows of the old corpus."""
     files = []
     if os.path.isdir(src_path):
         for root, _, fs in os.walk(src_path):
@@ -79,16 +87,18 @@ def _src_digest(src_path: str, key_col: str, columns, rows_per_group: int) -> st
         f"{os.path.basename(f)}:{os.path.getsize(f)}:"
         f"{os.stat(f).st_mtime_ns}"
         for f in sorted(files))
-    sig = f"{key_col}:{','.join(columns or [])}:{rows_per_group}:{sig}"
+    sig = (f"{key_col}:{_hash_name(key_hash)}:{','.join(columns or [])}:"
+           f"{rows_per_group}:{sig}")
     return hashlib.blake2b(sig.encode(), digest_size=10).hexdigest()
 
 
 def _prune_superseded(out_dir: str, layout: str, lineage: dict) -> None:
     """Remove the sibling layouts of ``layout``'s lineage (``lineage.json``:
-    source path, key, columns, rows per group), i.e. older versions of
-    the same source. Each goes by one ``os.replace`` to a tmp name
-    first, so no reader sees a half-removed layout. A layout of another
-    lineage, or one without a lineage record, stays."""
+    source path, key, key hash, columns, rows per group), i.e. older
+    versions of the same source. Each goes by one ``os.replace`` to a
+    tmp name first, so no reader sees a half-removed layout. A layout of
+    another lineage (another key hash of the same pages too), or one
+    without a lineage record, stays."""
     for name in os.listdir(out_dir):
         old = os.path.join(out_dir, name)
         if old == layout or name.endswith(".tmp"):
@@ -131,10 +141,13 @@ def build_hash_index(
     out_dir: str,
     columns: Optional[list[str]] = None,
     rows_per_group: int = 4096,
+    key_hash=hash64_str,
 ) -> str:
-    """Materialize ``src_path`` as a hash-sorted point-lookup layout and
-    return its directory, ``out_dir/<digest>`` (``data/`` sorted parquet
-    + ``index.parquet`` row-group ranges + ``lineage.json``). The digest
+    """Materialize ``src_path`` as a layout sorted by ``key_hash`` of
+    ``key_col`` (an array of strings → non-negative int64, named in the
+    digest and the lineage) and return its directory, ``out_dir/<digest>``
+    (``data/`` sorted parquet + ``index.parquet`` row-group ranges +
+    ``lineage.json``). The digest
     names the source signature (:func:`_src_digest`), so an existing
     directory is a complete layout of exactly this source and is reused
     as is: the one-time sort amortizes over every later
@@ -144,7 +157,7 @@ def build_hash_index(
     sources never share a name. After publishing, the build removes the
     layouts it supersedes (:func:`_prune_superseded`)."""
     layout = os.path.join(out_dir, _src_digest(src_path, key_col, columns,
-                                               rows_per_group))
+                                               rows_per_group, key_hash))
     if os.path.isdir(layout):
         return layout
     tmp = f"{layout}.{uuid.uuid4().hex}.tmp"
@@ -154,7 +167,7 @@ def build_hash_index(
         from web_scraper_ray.ops import sized_read_parquet
 
         def add_hash(t: pa.Table) -> pa.Table:
-            return t.append_column(KEY_H, pa.array(hash64_str(t[key_col]), pa.int64()))
+            return t.append_column(KEY_H, pa.array(key_hash(t[key_col]), pa.int64()))
 
         (sized_read_parquet(src_path, columns=columns)
            .map_batches(add_hash, batch_format="pyarrow")
@@ -167,7 +180,8 @@ def build_hash_index(
         idx = pa.concat_tables([p for p in parts if p.num_rows])
         pq.write_table(idx.sort_by("min_h"), os.path.join(tmp, "index.parquet"))
         lineage = {"src": os.path.abspath(src_path.rstrip("/")), "key": key_col,
-                   "columns": list(columns or []), "rows_per_group": rows_per_group}
+                   "hash": _hash_name(key_hash), "columns": list(columns or []),
+                   "rows_per_group": rows_per_group}
         with open(os.path.join(tmp, "lineage.json"), "w") as f:
             json.dump(lineage, f)
         os.replace(tmp, layout)

@@ -44,8 +44,8 @@ class CorpusFetcher:
     """Offline fetcher: one actor holds a url→html map for its corpus
     shard (loaded once in ``__init__``). Used directly in tests and as
     the frontier engine's offline ``fetcher_cls``; without one the engine
-    range-joins the corpus instead (frontier.py), so the full corpus is
-    never resident."""
+    joins each frontier run with the corpus instead (frontier.py), so
+    the full corpus is never resident."""
 
     def __init__(self, pages_path: str):
         import pyarrow.parquet as pq
@@ -165,8 +165,8 @@ class BrowserFetcher:
 def corpus_scan_fetch(urls: list[str], pages_path: str) -> "ray.data.Dataset":
     """Offline fetch of an explicit (small) URL list as ONE streaming
     corpus scan. The URL set is small by contract, so it broadcasts via
-    ``ray.put`` (the crawl's frontier is not: it range-joins a
-    hash-sorted corpus layout, ``crawl/frontier.py:_range_fetch_join``);
+    ``ray.put`` (the crawl's frontier is not: each run joins a
+    crawl-key-sorted corpus layout, ``crawl/frontier.py:_join_run``);
     the corpus is scanned once, column-pruned, with a vectorized
     ``index_in`` filter per batch — no actor ever holds a url→html dict
     of the whole corpus
@@ -219,11 +219,14 @@ def fetch_stage(ds, fetcher_cls=CorpusFetcher, concurrency: int = 4,
     mode-dispatch strategy surface (``scraper.py:73-84``) with the
     advanced→basic fallback expressed as per-row error statuses rather
     than exception control flow. Hosts are not paced here (see the
-    module doc)."""
+    module doc). The actors reserve no CPU: they wait on the network,
+    and a finished pool's last actor keeps what it reserved until the
+    driver's cyclic GC frees its handle."""
     return ds.map_batches(
         fetcher_cls,
         batch_format="pyarrow",
         batch_size=batch_size,
         concurrency=concurrency,
+        num_cpus=0,
         fn_constructor_kwargs=fetcher_kwargs,
     )
