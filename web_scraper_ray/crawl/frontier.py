@@ -91,7 +91,7 @@ Driver-state discipline (the 10^10-frontier contract): the driver never
 materializes a round in one process and holds scalars only — frontier
 row counts come from parquet FOOTER METADATA; every Dataset read of
 seeds or runs is planned from footers too (row-group slices, no
-sampling task for the driver to wait on, :func:`_planned_read`);
+sampling task for the driver to wait on, ``sources/planned.py``);
 budget truncation is a distributed ``sort(ORDER_KEYS).limit(K)`` that
 keeps one row per sorted block, the block's last, and a Ray task takes
 the cutoff as their maximum, so no task holds the admitted rows; the
@@ -152,6 +152,7 @@ from ..functions.urls import (
 )
 from ..ops.keyed import lookup_sorted
 from ..sources.hashindex import build_hash_index, touched_groups
+from ..sources.planned import cluster_cpus, plan_read, planned_read
 from ..stages.extract_stage import extract_batch
 from ..vhash import hash64_str
 from .config import CrawlConfig
@@ -194,20 +195,14 @@ JOIN_COLUMNS = ["url", "ck"] + META_COLUMNS
 #: admitted rows per corpus-join task: a round's fetch and extraction
 #: split by rows, whatever its hosts and buckets
 JOIN_ROWS = 256
-#: rows per block of a footer-planned read (:func:`_planned_read`)
+#: the ``block_rows`` of the crawl's footer-planned reads
+#: (``sources/planned.py:plan_read``)
 READ_BLOCK_ROWS = 8192
 
 
 class StaleCheckpointError(RuntimeError):
     """A resumed checkpoint holds a frontier run without the ``ck``
     column: it predates the crawl-key run format and cannot resume."""
-
-
-def _cpus() -> int:
-    try:
-        return int(ray.cluster_resources().get("CPU", 0))
-    except Exception:
-        return 0
 
 
 def _n_buckets() -> int:
@@ -217,7 +212,7 @@ def _n_buckets() -> int:
     one crawl keeps one value: it is recorded in ``crawl.json`` and in
     every manifest, and resume reuses the recorded value whatever the
     size of the cluster it resumes on."""
-    cpus = _cpus()
+    cpus = cluster_cpus()
     return max(16, 2 * cpus) if cpus else 64
 
 
@@ -297,56 +292,20 @@ def _push_candidate(rows: dict, canon: str, priority: int, pvt: float, pli: int,
     rows["w_canon"].append(w_canon)
 
 
-def _planned_read(files: list, columns: list, fn) -> Optional[ray.data.Dataset]:
-    """``fn`` over row slices of the ``columns`` of ``files`` (a column a
-    file lacks is left out), in a read planned from the files' footers
-    alone: ``(file, rg, lo, hi)`` items, ``max(1, min(2×CPU,
-    ⌈rows / READ_BLOCK_ROWS⌉))`` blocks, a row group larger than a
-    block's share cut into slices. No row is read and no sampling
-    task runs on the driver's behalf, as Ray Data's parquet datasource
-    would (0.47-0.65 s stalls seen on a 1-CPU host). Only the plan's size
-    follows the cluster, so bytes are parallelism-independent. ``None``
-    when the files hold no row."""
-    groups = [(f, g, md.row_group(g).num_rows) for f in files
-              for md in [pq.read_metadata(f)] for g in range(md.num_row_groups)]
-    n_rows = sum(n for _, _, n in groups)
-    if not n_rows:
-        return None
-    blocks = max(1, min(2 * (_cpus() or 32), -(-n_rows // READ_BLOCK_ROWS)))
-    share = -(-n_rows // blocks)
-    items = [{"file": f, "rg": g, "lo": i * n // cuts, "hi": (i + 1) * n // cuts}
-             for f, g, n in groups for cuts in [-(-n // share)] for i in range(cuts)]
-
-    def read(batch: pa.Table):
-        for f, g, lo, hi in zip(*(batch[c].to_pylist() for c in ("file", "rg", "lo", "hi"))):
-            with pq.ParquetFile(f) as pf:
-                cols = [c for c in columns if c in pf.schema_arrow.names]
-                t = pf.read_row_group(g, columns=cols).slice(lo, hi - lo)
-            yield fn(t)
-
-    return ray.data.from_items(items, override_num_blocks=min(blocks, len(items))
-                               ).map_batches(read, batch_format="pyarrow", batch_size=1)
-
-
 def _read_runs(files: list, columns: list, cutoff: Optional[list]) -> ray.data.Dataset:
     """``columns`` of the frontier runs ``files`` (non-empty), read by
-    :func:`_planned_read`. With the ``cutoff`` of a round a budget
+    ``sources/planned.py``. With the ``cutoff`` of a round a budget
     truncated, only its admitted rows, those up to the cutoff, are kept,
     inside the read task (``columns`` must hold ORDER_KEYS)."""
-    return _planned_read(files, columns, (lambda t: t) if cutoff is None
-                         else (lambda t: t.filter(_le_cutoff(t, cutoff))))
+    return planned_read(plan_read(files, READ_BLOCK_ROWS), columns,
+                        (lambda t: t) if cutoff is None
+                        else (lambda t: t.filter(_le_cutoff(t, cutoff))))
 
 
 def _seed_candidates(seeds_path: str, robots_ref, config: CrawlConfig,
                      n_buckets: int) -> ray.data.Dataset:
-    # Size the seed read by FOOTER row count (_planned_read): Ray's
-    # default parallelism splits even a few-MB seed table into ~2
-    # blocks/CPU, and the seed round (the only execution with no corpus
-    # scan to hide behind) then pays pure dispatch tax — 64 map + 64
-    # sort-reduce tasks whose remote work is milliseconds (measured 5.7s
-    # -> 1.8s at 42k seeds, 32 CPUs). ~8k rows/block keeps one block per
-    # task worth of real work; huge seed tables still fan out to 2
-    # blocks/CPU.
+    # READ_BLOCK_ROWS-row blocks: 2 blocks/CPU of a few-MB seed table
+    # paid pure dispatch tax (5.7 s -> 1.8 s at 42k seeds, 32 CPUs)
     def to_cands(seeds: pa.Table) -> pa.Table:
         robots: RobotsRules = ray.get(robots_ref)
         pris = (seeds["priority"].to_pylist() if "priority" in seeds.column_names
@@ -365,7 +324,8 @@ def _seed_candidates(seeds_path: str, robots_ref, config: CrawlConfig,
         return _candidate_table(rows, n_buckets)
 
     files = _parquet_files(seeds_path) if os.path.isdir(seeds_path) else [seeds_path]
-    ds = _planned_read(files, ["url", "seed_index", "priority"], to_cands)
+    ds = planned_read(plan_read(files, READ_BLOCK_ROWS),
+                      ["url", "seed_index", "priority"], to_cands)
     return ds if ds is not None else ray.data.from_arrow(
         _candidate_table(_new_rows(), n_buckets))
 
@@ -819,7 +779,7 @@ def _fetch_and_extract(
         def join(batch: pa.Table):
             yield from _join_run(layout, batch)
 
-        if _cpus() > 1:
+        if cluster_cpus() > 1:
             # JOIN_ROWS-row blocks, one join task each. On one CPU no
             # two tasks run at once, so the join fuses into the task that
             # admitted or read its rows instead: the split's two operator

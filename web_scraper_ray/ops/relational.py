@@ -19,6 +19,8 @@ import ray
 import ray.data
 from ray.data.aggregate import Count, Max, Min, Sum
 
+from ..sources.planned import cluster_cpus
+
 
 def _read(sf_dir: str, table: str, columns=None) -> ray.data.Dataset:
     return ray.data.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
@@ -154,10 +156,7 @@ def segment_revenue(sf_dir: str,
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
 
     if n_cust > broadcast_limit:
-        try:
-            cpus = int(ray.cluster_resources().get("CPU", 0)) or 4
-        except Exception:
-            cpus = 4
+        cpus = cluster_cpus() or 4
         joined = orders.join(cust, join_type="inner",
                              num_partitions=max(2, min(32, cpus)),
                              on=("o_custkey",), right_on=("c_custkey",))
@@ -517,10 +516,7 @@ def nation_revenue(sf_dir: str,
     under small sessions (observed: 32 partitions on a 4-CPU session
     never completes — every HashShuffleAggregator waits for placement)."""
     if num_partitions is None:
-        try:
-            cpus = int(ray.cluster_resources().get("CPU", 0)) or 4
-        except Exception:
-            cpus = 4
+        cpus = cluster_cpus() or 4
         num_partitions = max(2, min(32, cpus))
     nation = _read(sf_dir, "nation", ["n_nationkey", "n_name"]).to_pandas()
     nation_ref = ray.put(dict(zip(nation["n_nationkey"], nation["n_name"])))

@@ -1,1 +1,1 @@
-from .flagship import extract_pipeline, read_pages  # noqa: F401
+from .flagship import extract_pipeline  # noqa: F401

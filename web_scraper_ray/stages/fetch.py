@@ -40,6 +40,11 @@ FETCH_SCHEMA = pa.schema(
 )
 
 
+def _fetch_table(urls: list, status: list, htmls: list, errors: list) -> pa.Table:
+    return pa.Table.from_pydict(dict(zip(FETCH_SCHEMA.names, (urls, status, htmls, errors))),
+                                schema=FETCH_SCHEMA)
+
+
 class CorpusFetcher:
     """Offline fetcher: one actor holds a url→html map for its corpus
     shard (loaded once in ``__init__``). Used directly in tests and as
@@ -55,26 +60,9 @@ class CorpusFetcher:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         urls = batch["url"].to_pylist()
-        status, htmls, errors = [], [], []
-        for u in urls:
-            html = self.corpus.get(u)
-            if html is None:
-                status.append("miss")
-                htmls.append(b"")
-                errors.append("")
-            else:
-                status.append("fetched")
-                htmls.append(bytes(html))
-                errors.append("")
-        return pa.table(
-            {
-                "url": pa.array(urls, pa.string()),
-                "status": pa.array(status, pa.string()),
-                "html": pa.array(htmls, pa.large_binary()),
-                "error": pa.array(errors, pa.string()),
-            },
-            schema=FETCH_SCHEMA,
-        )
+        htmls = [self.corpus.get(u) for u in urls]
+        return _fetch_table(urls, ["miss" if h is None else "fetched" for h in htmls],
+                            [b"" if h is None else bytes(h) for h in htmls], [""] * len(urls))
 
 
 class HttpFetcher:
@@ -117,15 +105,7 @@ class HttpFetcher:
                 status.append("error")
                 htmls.append(b"")
                 errors.append(str(e)[:200])
-        return pa.table(
-            {
-                "url": pa.array(urls, pa.string()),
-                "status": pa.array(status, pa.string()),
-                "html": pa.array(htmls, pa.large_binary()),
-                "error": pa.array(errors, pa.string()),
-            },
-            schema=FETCH_SCHEMA,
-        )
+        return _fetch_table(urls, status, htmls, errors)
 
 
 class BrowserFetcher:
@@ -162,55 +142,49 @@ class BrowserFetcher:
         return self.fallback(batch)
 
 
+def _keep_wanted(batch: pa.Table, wanted_ref) -> pa.Table:
+    import pyarrow.compute as pc
+
+    import ray
+
+    wanted, mult = ray.get(wanted_ref)
+    sel = batch.filter(pc.is_valid(pc.index_in(batch["url"], value_set=wanted)))
+    # duplicate-seed multiplicity: repeat each matched row k times
+    reps = [mult[u] for u in sel["url"].to_pylist()]
+    if any(r != 1 for r in reps):
+        sel = sel.take([i for i, r in enumerate(reps) for _ in range(r)])
+    k = sel.num_rows
+    return pa.table({"url": sel["url"], "status": pa.array(["fetched"] * k, pa.string()),
+                     "html": pc.cast(sel["html"], pa.large_binary()),
+                     "error": pa.array([""] * k, pa.string())}, schema=FETCH_SCHEMA)
+
+
 def corpus_scan_fetch(urls: list[str], pages_path: str) -> "ray.data.Dataset":
     """Offline fetch of an explicit (small) URL list as ONE streaming
     corpus scan. The URL set is small by contract, so it broadcasts via
     ``ray.put`` (the crawl's frontier is not: each run joins a
     crawl-key-sorted corpus layout, ``crawl/frontier.py:_join_run``);
-    the corpus is scanned once, column-pruned, with a vectorized
-    ``index_in`` filter per batch — no actor ever holds a url→html dict
-    of the whole corpus
-    (the ``CorpusFetcher``-per-actor materialization this replaces).
-    URLs absent from the corpus simply never appear (the caller's
-    fetched-status filter drops misses either way). A URL listed k
-    times emits k identical rows — same multiplicity as fetching each
-    seed row separately (the reference's per-URL loop)."""
+    the local corpus is scanned once, column-pruned, in the
+    footer-planned read of ``sources/planned.py``, with a vectorized
+    ``index_in`` filter per slice of at most 1,024 rows — no actor ever
+    holds a url→html dict of the whole corpus. URLs absent from the
+    corpus simply never appear (the caller's fetched-status filter drops
+    misses either way). A URL listed k times emits k identical rows —
+    same multiplicity as fetching each seed row separately (the
+    reference's per-URL loop)."""
+    import functools
     from collections import Counter
-
-    import pyarrow.compute as pc
 
     import ray
     import ray.data
 
-    from ..pipelines.flagship import _default_blocks
+    from ..sources.planned import local_parquet_files, plan_read, planned_read
 
     counts = Counter(urls)
-    wanted_ref = ray.put(
-        (pa.array(sorted(counts), pa.string()), dict(counts))
-    )
-    pages = ray.data.read_parquet(pages_path, columns=["url", "html"],
-                                  override_num_blocks=_default_blocks())
-
-    def keep(batch: pa.Table) -> pa.Table:
-        wanted, mult = ray.get(wanted_ref)
-        sel = batch.filter(pc.is_valid(pc.index_in(batch["url"], value_set=wanted)))
-        # duplicate-seed multiplicity: repeat each matched row k times
-        reps = [mult[u] for u in sel["url"].to_pylist()]
-        if any(r != 1 for r in reps):
-            idx = [i for i, r in enumerate(reps) for _ in range(r)]
-            sel = sel.take(idx)
-        k = sel.num_rows
-        return pa.table(
-            {
-                "url": sel["url"],
-                "status": pa.array(["fetched"] * k, pa.string()),
-                "html": pc.cast(sel["html"], pa.large_binary()),
-                "error": pa.array([""] * k, pa.string()),
-            },
-            schema=FETCH_SCHEMA,
-        )
-
-    return pages.map_batches(keep, batch_format="pyarrow")
+    wanted_ref = ray.put((pa.array(sorted(counts), pa.string()), dict(counts)))
+    ds = planned_read(plan_read(local_parquet_files(pages_path), 1024), ["url", "html"],
+                      functools.partial(_keep_wanted, wanted_ref=wanted_ref))
+    return ds if ds is not None else ray.data.from_arrow(FETCH_SCHEMA.empty_table())
 
 
 def fetch_stage(ds, fetcher_cls=CorpusFetcher, concurrency: int = 4,
